@@ -2,7 +2,8 @@
    (DESIGN.md "Kernel fast paths"): cache lookup hit/miss costs, the
    hierarchy filter stage on three stream shapes plus the captured gtc
    reference stream — each against the pre-optimization oracle in
-   test/oracle/ — the DRAM controller submit path, counter recording, and
+   test/oracle/ — the DRAM controller submit path (alone, and with the
+   [stats] call each technology ends with), counter recording, and
    the end-to-end scavenger pipeline.
 
    Results go to a machine-readable JSON file (default BENCH_kernels.json;
@@ -410,19 +411,47 @@ let run ~quick ~out =
   in
 
   (* DRAM controller submit path on a line-granular trace *)
+  let submit_stream c n =
+    for i = 0 to n - 1 do
+      Nvsc_dramsim.Controller.submit_ref c ~addr:(i * 64 * 17)
+        ~op:(if i land 3 = 0 then Access.Write else Access.Read)
+    done
+  in
   let () =
     let n = if quick then 100_000 else 400_000 in
     let tech = Nvsc_nvram.Technology.get Nvsc_nvram.Technology.DDR3 in
     let dt =
       best_of reps (fun () ->
           let c = Nvsc_dramsim.Controller.create ~tech () in
-          for i = 0 to n - 1 do
-            Nvsc_dramsim.Controller.submit_ref c ~addr:(i * 64 * 17)
-              ~op:(if i land 3 = 0 then Access.Write else Access.Read)
-          done;
+          submit_stream c n;
           Nvsc_dramsim.Controller.flush c)
     in
     report "controller.submit" "ns/txn" (dt *. 1e9 /. float_of_int n)
+  in
+
+  (* The per-technology work of [Memory_system.compare_technologies]: a
+     fresh controller, the whole stream, then [stats] (percentiles
+     included).  [value] is the mean over the paper's four technologies;
+     [extra] has each one. *)
+  let () =
+    let n = if quick then 100_000 else 400_000 in
+    let per_tech =
+      List.map
+        (fun (tech : Nvsc_nvram.Technology.t) ->
+          let dt =
+            best_of reps (fun () ->
+                let c = Nvsc_dramsim.Controller.create ~tech () in
+                submit_stream c n;
+                ignore (Nvsc_dramsim.Controller.stats c))
+          in
+          (tech.Nvsc_nvram.Technology.name, dt *. 1e9 /. float_of_int n))
+        Nvsc_nvram.Technology.paper_set
+    in
+    let mean =
+      List.fold_left (fun acc (_, v) -> acc +. v) 0. per_tech
+      /. float_of_int (List.length per_tech)
+    in
+    report "controller.submit+stats" "ns/txn" mean ~extra:per_tech
   in
 
   (* Bank-sharded controller decomposition (ISSUE 10 tentpole): serial

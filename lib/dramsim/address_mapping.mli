@@ -33,6 +33,22 @@ val decode_packed : scheme -> Org.t -> int -> int
     column, which never influences line-granularity timing, is dropped).
     Agrees with {!decode} on rank, bank and row for every address. *)
 
+type decoder
+(** {!decode_packed} for one fixed scheme and organisation, with its
+    shifts and masks computed once. *)
+
+val decoder : scheme -> Org.t -> decoder
+
+val decode_fast : decoder -> int -> int
+(** [decode_fast (decoder scheme org) addr = decode_packed scheme org addr]
+    for every [addr], computed with shifts and masks (every {!Org}
+    dimension is a power of two).  For a non-negative address the result
+    is [(row lsl bank_bits d) lor flat_bank]; a negative address takes
+    {!decode_packed}'s division path, and its result is negative or 0. *)
+
+val bank_bits : decoder -> int
+(** [log2 (Org.total_banks org)]. *)
+
 val scheme_name : scheme -> string
 
 val all_schemes : scheme list

@@ -29,11 +29,13 @@ type floats = {
 type t = {
   org : Org.t;
   scheme : Address_mapping.scheme;
+  decoder : Address_mapping.decoder;
   tech : Technology.t;
   timing : Timing.t;
   power : Power_params.t;
   window : int;
   nbanks : int; (* ranks * banks *)
+  bank_bits : int; (* log2 nbanks *)
   row_policy : row_policy;
   scheduler : scheduler;
   mutable reorder : pending list; (* oldest first *)
@@ -57,7 +59,8 @@ type t = {
   mutable row_misses : int;
   mutable activations : int;
   mutable refreshes : int;
-  mutable latencies : float array; (* per-access, for percentiles *)
+  (* per-access, for percentiles; [stats] reorders it in place *)
+  mutable latencies : float array;
   mutable latencies_n : int;
   (* hot-path constants hoisted out of the per-access kernel: [Org]
      dimensions are powers of two so rank extraction is a shift, and the
@@ -84,11 +87,13 @@ let create ?(org = Org.paper) ?(scheme = Address_mapping.Row_bank_rank_col)
     invalid_arg "Controller.create: Fr_fcfs depth must be positive"
   | Fcfs | Fr_fcfs _ -> ());
   let nbanks = Org.total_banks org in
+  let decoder = Address_mapping.decoder scheme org in
   let timing = Timing.of_tech tech ~org in
   let power = Power_params.of_tech tech ~org in
   {
     org;
     scheme;
+    decoder;
     tech;
     timing;
     power;
@@ -96,6 +101,7 @@ let create ?(org = Org.paper) ?(scheme = Address_mapping.Row_bank_rank_col)
     row_policy;
     scheduler;
     nbanks;
+    bank_bits = Address_mapping.bank_bits decoder;
     reorder = [];
     bank_ready = Array.make nbanks 0.;
     open_row = Array.make nbanks (-1);
@@ -216,7 +222,7 @@ let[@inline] complete t (op : Access.op) ~bank ~arrival ~row_ready =
   t.inflight_n <- t.inflight_n + 1
 
 (* The access kernel, on flat coordinates ([bank] = rank * banks + bank):
-   the FCFS path reaches it via [Address_mapping.decode_packed] without
+   the FCFS path reaches it via [Address_mapping.decode_fast] without
    materialising a [coords] record. *)
 let issue_flat t (op : Access.op) ~bank ~row =
   admit t;
@@ -318,8 +324,12 @@ let schedule_one t =
 let submit_ref t ~addr ~(op : Access.op) =
   match t.scheduler with
   | Fcfs ->
-    let packed = Address_mapping.decode_packed t.scheme t.org addr in
-    issue_flat t op ~bank:(packed mod t.nbanks) ~row:(packed / t.nbanks)
+    let packed = Address_mapping.decode_fast t.decoder addr in
+    if packed >= 0 then
+      issue_flat t op
+        ~bank:(packed land (t.nbanks - 1))
+        ~row:(packed lsr t.bank_bits)
+    else issue_flat t op ~bank:(packed mod t.nbanks) ~row:(packed / t.nbanks)
   | Fr_fcfs depth ->
     let coords = Address_mapping.decode t.scheme t.org addr in
     t.reorder <- t.reorder @ [ { op; coords } ];
@@ -386,29 +396,76 @@ type stats = {
   row_hit_rate : float;
 }
 
-(* One sorted copy serves all three percentiles; Float.compare avoids the
-   polymorphic-comparison cost on large traces. *)
-let latency_percentiles t =
-  if t.latencies_n = 0 then (0., 0., 0.)
-  else begin
-    let sorted = Array.sub t.latencies 0 t.latencies_n in
-    Array.sort Float.compare sorted;
-    let at p =
-      let rank = p *. float_of_int (t.latencies_n - 1) in
-      let lo = int_of_float (Float.floor rank) in
-      let hi = int_of_float (Float.ceil rank) in
-      if lo = hi then sorted.(lo)
-      else begin
-        let frac = rank -. float_of_int lo in
-        (sorted.(lo) *. (1. -. frac)) +. (sorted.(hi) *. frac)
-      end
+(* In-place selection (Wirth's FIND with a median-of-three pivot): on
+   return [a.(k)] holds the element of rank [k] within [a.(lo..hi)],
+   everything left of [k] is <= it and everything right of it is >=.
+   Monomorphic float compares, no closure: no allocation. *)
+let select (a : float array) lo hi k =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi do
+    let x =
+      let l = a.(!lo) and m = a.((!lo + !hi) / 2) and h = a.(!hi) in
+      if l < m then (if m < h then m else if l < h then h else l)
+      else if l < h then l
+      else if m < h then h
+      else m
     in
-    (at 0.5, at 0.95, at 0.99)
+    let i = ref !lo and j = ref !hi in
+    while !i <= !j do
+      while a.(!i) < x do incr i done;
+      while x < a.(!j) do decr j done;
+      if !i <= !j then begin
+        let w = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- w;
+        incr i;
+        decr j
+      end
+    done;
+    if !j < k then lo := !i;
+    if k < !i then hi := !j
+  done
+
+let min_from (a : float array) first n =
+  let m = ref a.(first) in
+  for i = first + 1 to n - 1 do
+    if a.(i) < !m then m := a.(i)
+  done;
+  !m
+
+let rank_lo n p = int_of_float (Float.floor (p *. float_of_int (n - 1)))
+
+(* The [p]-th percentile of [a.(0..n-1)], linearly interpolated between
+   the elements of rank [floor] and [ceil] of [p * (n - 1)].  [prev] is
+   the lower rank of the previous (smaller) percentile, already selected
+   into place: [a.(prev + 1 .. n-1)] holds exactly the ranks above it,
+   so the search resumes there.  The upper rank is [lo + 1], the minimum
+   of the partition above [lo]. *)
+let percentile (a : float array) n ~prev p =
+  let rank = p *. float_of_int (n - 1) in
+  let lo = int_of_float (Float.floor rank) in
+  let hi = int_of_float (Float.ceil rank) in
+  if lo > prev then select a (prev + 1) (n - 1) lo;
+  if lo = hi then a.(lo)
+  else begin
+    let frac = rank -. float_of_int lo in
+    (a.(lo) *. (1. -. frac)) +. (min_from a hi n *. frac)
+  end
+
+let latency_percentiles a n =
+  if n = 0 then (0., 0., 0.)
+  else begin
+    let p50 = percentile a n ~prev:(-1) 0.5 in
+    let p95 = percentile a n ~prev:(rank_lo n 0.5) 0.95 in
+    let p99 = percentile a n ~prev:(rank_lo n 0.95) 0.99 in
+    (p50, p95, p99)
   end
 
 let stats t =
   let elapsed = elapsed_ns t in
-  let p50, p95, p99 = latency_percentiles t in
+  (* percentiles depend only on the multiset of latencies, so they are
+     selected in place; later submits append after [latencies_n] *)
+  let p50, p95, p99 = latency_percentiles t.latencies t.latencies_n in
   let background_energy_nj = t.power.Power_params.p_background_w *. elapsed in
   let total =
     t.fl.burst_energy_nj +. t.fl.act_pre_energy_nj +. t.fl.refresh_energy_nj

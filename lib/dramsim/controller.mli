@@ -100,4 +100,13 @@ type stats = {
 }
 
 val stats : t -> stats
-(** Snapshot of the statistics at the current makespan. *)
+(** Snapshot of the statistics at the current makespan.  With nothing
+    left to {!flush}, allocates O(1) words whatever the number of
+    transactions. *)
+
+val latency_percentiles : float array -> int -> float * float * float
+(** [latency_percentiles a n] is the (p50, p95, p99) of [a.(0 .. n-1)]
+    that {!stats} reports, each linearly interpolated between the
+    elements of rank [floor] and [ceil] of [p * (n - 1)]; (0, 0, 0) when
+    [n = 0].  Selects in place: reorders [a.(0 .. n-1)], allocates no
+    per-element storage.  The elements must not be NaN. *)

@@ -19,10 +19,10 @@ module Ring = Nvsc_team.Ring
 
    The team splits accordingly.  [shards] classifier workers sit behind
    SPSC rings; every delivered batch slice is announced to all of them,
-   and worker [s] decodes each reference (shift/mask — every [Org] field
-   is a power of two), keeps private open-row registers for the flat
-   banks with [bank land (shards - 1) = s], and appends one packed event
-   per owned reference:
+   and worker [s] decodes each reference with the serial controller's
+   shift/mask decoder ([Address_mapping.decode_fast]), keeps private
+   open-row registers for the flat banks with [bank land (shards - 1) =
+   s], and appends one packed event per owned reference:
 
      event = (global_idx lsl (bank_bits + 3))
              lor (bank lsl 3) lor (cls lsl 1) lor write_bit
@@ -71,8 +71,6 @@ type worker_state = {
 type t = {
   shards : int;
   shard_mask : int;
-  org : Org.t;
-  scheme : Address_mapping.scheme;
   row_policy : Controller.row_policy;
   ctl : Controller.t; (* the serial-replay half *)
   rings : descriptor Ring.t array;
@@ -94,21 +92,10 @@ type t = {
   mutable fed : int;
   mutable finished : bool;
   mutable merged : bool;
-  (* shift/mask decode, valid because every Org field is a power of two *)
-  line_shift : int;
-  cap_mask : int; (* total lines - 1 *)
-  lpr_shift : int; (* log2 lines-per-row *)
-  ranks_mask : int;
-  ranks_shift : int;
-  banks_mask : int;
-  banks_shift : int;
+  decoder : Address_mapping.decoder;
   nbanks : int;
   bank_bits : int;
 }
-
-let log2 n =
-  let rec go k v = if v <= 1 then k else go (k + 1) (v lsr 1) in
-  go 0 n
 
 let shards_for ?(org = Org.paper) requested =
   let down_pow2 n =
@@ -148,12 +135,11 @@ let create ?(org = Org.paper) ?(scheme = Address_mapping.Row_bank_rank_col)
   let row_policy =
     match row_policy with Some p -> p | None -> Controller.Open_page
   in
+  let decoder = Address_mapping.decoder scheme org in
   let team =
     {
       shards;
       shard_mask = shards - 1;
-      org;
-      scheme;
       row_policy;
       ctl;
       rings;
@@ -172,53 +158,24 @@ let create ?(org = Org.paper) ?(scheme = Address_mapping.Row_bank_rank_col)
       fed = 0;
       finished = false;
       merged = false;
-      line_shift = log2 org.Org.line_bytes;
-      cap_mask =
-        (org.Org.ranks * org.Org.banks * org.Org.rows * Org.lines_per_row org)
-        - 1;
-      lpr_shift = log2 (Org.lines_per_row org);
-      ranks_mask = org.Org.ranks - 1;
-      ranks_shift = log2 org.Org.ranks;
-      banks_mask = org.Org.banks - 1;
-      banks_shift = log2 org.Org.banks;
+      decoder;
       nbanks;
-      bank_bits = log2 nbanks;
+      bank_bits = Address_mapping.bank_bits decoder;
     }
   in
   team
 
-(* (flat bank, row) via shifts — equal to [Address_mapping.decode_packed]
-   for every non-negative address because all the divisors are powers of
-   two.  Returns [bank lor (row lsl bank_bits)] packed in one int. *)
-let[@inline] decode_fast t addr =
-  let line = (addr lsr t.line_shift) land t.cap_mask in
-  match t.scheme with
-  | Address_mapping.Row_bank_rank_col ->
-    let rest = line lsr t.lpr_shift in
-    let rank = rest land t.ranks_mask in
-    let rest = rest lsr t.ranks_shift in
-    let bank = rest land t.banks_mask in
-    let row = rest lsr t.banks_shift in
-    (rank lsl t.banks_shift) lor bank lor (row lsl t.bank_bits)
-  | Address_mapping.Row_rank_bank_col ->
-    let rest = line lsr t.lpr_shift in
-    let bank = rest land t.banks_mask in
-    let rest = rest lsr t.banks_shift in
-    let rank = rest land t.ranks_mask in
-    let row = rest lsr t.ranks_shift in
-    (rank lsl t.banks_shift) lor bank lor (row lsl t.bank_bits)
-  | Address_mapping.Line_interleave ->
-    let rank = line land t.ranks_mask in
-    let rest = line lsr t.ranks_shift in
-    let bank = rest land t.banks_mask in
-    let row = (rest lsr t.banks_shift) lsr t.lpr_shift in
-    (rank lsl t.banks_shift) lor bank lor (row lsl t.bank_bits)
-
-(* Negative addresses keep [decode_packed]'s round-toward-zero division
-   semantics (never produced by the pipeline, but representable). *)
-let[@inline never] decode_slow t addr =
-  let packed = Address_mapping.decode_packed t.scheme t.org addr in
+(* (flat bank, row) packed as [bank lor (row lsl bank_bits)]: the shared
+   decoder's result as is for a non-negative address.  A negative address
+   (never produced by the pipeline, but representable) has taken
+   [decode_packed]'s round-toward-zero division path; its result is
+   split with the same division and repacked. *)
+let[@inline never] repack_negative t packed =
   (packed mod t.nbanks) lor ((packed / t.nbanks) lsl t.bank_bits)
+
+let[@inline] decode t addr =
+  let packed = Address_mapping.decode_fast t.decoder addr in
+  if packed >= 0 then packed else repack_negative t packed
 
 let[@inline] push_event w e =
   let i = w.ev_n in
@@ -249,7 +206,7 @@ let classify_slice t w batch ~first ~n ~base =
   if Sink.checks_enabled () then
     for i = first to first + n - 1 do
       let addr = Sink.Batch.addr batch i in
-      let br = if addr >= 0 then decode_fast t addr else decode_slow t addr in
+      let br = decode t addr in
       let bank = br land (t.nbanks - 1) in
       if bank land t.shard_mask = w.sid then
         classify t w ~idx:(base + i - first) ~bank ~row:(br lsr t.bank_bits)
@@ -263,7 +220,7 @@ let classify_slice t w batch ~first ~n ~base =
     let off = base - first in
     for i = first to first + n - 1 do
       let addr = Bigarray.Array1.unsafe_get addrs i in
-      let br = if addr >= 0 then decode_fast t addr else decode_slow t addr in
+      let br = decode t addr in
       let bank = br land (t.nbanks - 1) in
       if bank land t.shard_mask = w.sid then
         classify t w ~idx:(off + i) ~bank ~row:(br lsr t.bank_bits)

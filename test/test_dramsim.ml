@@ -105,6 +105,81 @@ let test_latency_percentiles () =
   Alcotest.(check bool) "write-recovery tail" true
     (s.Controller.p99_latency_ns > s.Controller.avg_latency_ns)
 
+(* Latency arrays shaped like the controller's: few distinct values
+   (row hits repeat one latency), a live prefix of length [n] inside a
+   larger buffer, sometimes already sorted or reversed. *)
+let latency_array_gen =
+  let open QCheck.Gen in
+  let* n = oneof [ return 1; return 2; return 3; int_range 4 3000 ] in
+  let* slack = int_range 0 8 in
+  let* distinct = oneof [ return 1; int_range 2 6; int_range 7 5000 ] in
+  let* shape = int_range 0 3 in
+  let+ xs =
+    array_repeat (n + slack)
+      (map (fun k -> 20. +. (1.25 *. float_of_int k)) (int_range 0 (distinct - 1)))
+  in
+  let live = Array.sub xs 0 n in
+  (match shape with
+  | 1 -> Array.sort Float.compare live
+  | 2 -> Array.sort (fun a b -> Float.compare b a) live
+  | _ -> ());
+  Array.blit live 0 xs 0 n;
+  (xs, n)
+
+let test_percentiles_oracle_prop =
+  QCheck.Test.make ~name:"latency percentiles = sort-based oracle, bit for bit"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (xs, n) ->
+         Printf.sprintf "n=%d [%s]" n
+           (String.concat "; "
+              (List.map string_of_float (Array.to_list (Array.sub xs 0 n)))))
+       latency_array_gen)
+    (fun (xs, n) ->
+      let bits (a, b, c) = List.map Int64.bits_of_float [ a; b; c ] in
+      let expected = Nvsc_oracle.Oracle_percentiles.latency_percentiles xs n in
+      let tail = Array.sub xs n (Array.length xs - n) in
+      let work = Array.copy xs in
+      let got = Controller.latency_percentiles work n in
+      let sorted a = List.sort Float.compare (Array.to_list a) in
+      bits got = bits expected
+      (* in place: the live prefix is permuted, the rest untouched *)
+      && sorted (Array.sub work 0 n) = sorted (Array.sub xs 0 n)
+      && Array.sub work n (Array.length xs - n) = tail)
+
+let submit_mixed c ~first ~n =
+  for i = first to first + n - 1 do
+    Controller.submit_ref c
+      ~addr:((i * 64 * 17) land 0xFFFFFC0)
+      ~op:(if i land 3 = 0 then Access.Write else Access.Read)
+  done
+
+let test_stats_repeatable () =
+  let c = Controller.create ~tech:pcram () in
+  submit_mixed c ~first:0 ~n:5000;
+  let s1 = Controller.stats c in
+  let s2 = Controller.stats c in
+  Alcotest.(check bool) "stats twice: equal records" true (s1 = s2);
+  (* submits after a [stats] call still count, in the reordered buffer *)
+  submit_mixed c ~first:5000 ~n:3000;
+  let s3 = Controller.stats c in
+  let fresh = Controller.create ~tech:pcram () in
+  submit_mixed fresh ~first:0 ~n:8000;
+  Alcotest.(check int) "later submits counted" 8000 s3.Controller.accesses;
+  Alcotest.(check bool) "same as one uninterrupted run" true
+    (s3 = Controller.stats fresh)
+
+let test_stats_allocation () =
+  (* a boxed or copying percentile sort costs O(n) words here *)
+  let c = Controller.create ~tech:ddr3 () in
+  submit_mixed c ~first:0 ~n:200_000;
+  let before = Gc.minor_words () in
+  let s = Controller.stats c in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "all counted" 200_000 s.Controller.accesses;
+  if words > 1000. then
+    Alcotest.failf "Controller.stats allocated %.0f words for 200k txns" words
+
 let test_window_required_positive () =
   Alcotest.check_raises "window"
     (Invalid_argument "Controller.create: window must be positive") (fun () ->
@@ -173,6 +248,10 @@ let suite =
     Alcotest.test_case "energy additivity" `Quick test_energy_additivity;
     Alcotest.test_case "power = energy/time" `Quick test_avg_power_consistency;
     Alcotest.test_case "latency percentiles" `Quick test_latency_percentiles;
+    QCheck_alcotest.to_alcotest test_percentiles_oracle_prop;
+    Alcotest.test_case "stats repeatable, later submits counted" `Quick
+      test_stats_repeatable;
+    Alcotest.test_case "stats allocates O(1) words" `Quick test_stats_allocation;
     Alcotest.test_case "window validation" `Quick test_window_required_positive;
     Alcotest.test_case "Table VI band on synthetic trace" `Quick
       test_normalized_power_table6_band;

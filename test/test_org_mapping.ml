@@ -15,6 +15,9 @@ let test_org_validation () =
   Alcotest.check_raises "non-pow2"
     (Invalid_argument "Org.make: ranks must be a power of two") (fun () ->
       ignore (Org.make ~ranks:3 ()));
+  Alcotest.check_raises "non-pow2 banks"
+    (Invalid_argument "Org.make: banks must be a power of two") (fun () ->
+      ignore (Org.make ~banks:3 ()));
   Alcotest.check_raises "row too small"
     (Invalid_argument "Org.make: a row must hold at least one line") (fun () ->
       ignore (Org.make ~cols:4 ~bus_width_bits:64 ~line_bytes:64 ()))
@@ -44,6 +47,50 @@ let bijective_prop scheme =
       let c1 = AM.decode scheme Org.paper (l1 * 64) in
       let c2 = AM.decode scheme Org.paper (l2 * 64) in
       l1 = l2 || c1 <> c2)
+
+let decoder_orgs =
+  [
+    ("paper", Org.paper);
+    ("2x4x8", Org.make ~ranks:2 ~banks:4 ~rows:8 ());
+    ("4x8x64 narrow", Org.make ~ranks:4 ~banks:8 ~rows:64 ~cols:256 ~line_bytes:128 ());
+    ("1x1x1", Org.make ~ranks:1 ~banks:1 ~rows:1 ~cols:8 ~line_bytes:64 ());
+  ]
+
+(* Addresses well above every capacity (wrap-around) and negative ones
+   (the division path), plus the neighbourhood of zero. *)
+let decoder_addr =
+  QCheck.(
+    oneof
+      [
+        int_range 0 max_int;
+        int_range min_int (-1);
+        int_range (-4096) 4096;
+        int_range 0 (1 lsl 34);
+      ])
+
+let decoder_prop scheme =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "shift decoder = decode_packed: %s" (AM.scheme_name scheme))
+    ~count:2000 decoder_addr
+    (fun addr ->
+      List.for_all
+        (fun (_, (o : Org.t)) ->
+          let d = AM.decoder scheme o in
+          let nbanks = Org.total_banks o in
+          let packed = AM.decode_packed scheme o addr in
+          let fast = AM.decode_fast d addr in
+          fast = packed
+          &&
+          if addr >= 0 then begin
+            (* the documented layout: row above [bank_bits], flat bank
+               below, the same coordinates as [decode] *)
+            let c = AM.decode scheme o addr in
+            1 lsl AM.bank_bits d = nbanks
+            && fast land (nbanks - 1) = (c.AM.rank * o.banks) + c.AM.bank
+            && fast lsr AM.bank_bits d = c.AM.row
+          end
+          else fast <= 0)
+        decoder_orgs)
 
 let test_sequential_locality () =
   (* under the default scheme, consecutive lines share a row until the row
@@ -83,6 +130,9 @@ let suite =
     QCheck_alcotest.to_alcotest (range_prop AM.Line_interleave);
     QCheck_alcotest.to_alcotest (bijective_prop AM.Row_bank_rank_col);
     QCheck_alcotest.to_alcotest (bijective_prop AM.Line_interleave);
+    QCheck_alcotest.to_alcotest (decoder_prop AM.Row_bank_rank_col);
+    QCheck_alcotest.to_alcotest (decoder_prop AM.Row_rank_bank_col);
+    QCheck_alcotest.to_alcotest (decoder_prop AM.Line_interleave);
     Alcotest.test_case "sequential row locality" `Quick test_sequential_locality;
     Alcotest.test_case "line interleave spreads" `Quick
       test_line_interleave_spreads;
