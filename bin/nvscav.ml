@@ -76,8 +76,8 @@ let pp_trace_line fmt trace =
     (Nvsc_memtrace.Trace_log.reads trace)
     (Nvsc_memtrace.Trace_log.writes trace)
 
-let power_results ?(jobs = 1) ?(bank_shards = 1) trace =
-  Nvsc_dramsim.Memory_system.compare_technologies ~jobs ~bank_shards
+let power_results ?(jobs = 1) trace =
+  Nvsc_dramsim.Memory_system.compare_technologies ~jobs
     ~techs:Nvsc_nvram.Technology.paper_set
     ~replay:(fun sink -> Nvsc_memtrace.Trace_log.replay_batch trace sink)
     ()
@@ -133,11 +133,11 @@ let pp_place_report fmt ~tech r =
     (Nvsc_placement.Hybrid_memory.assess hybrid);
   Format.pp_print_newline fmt ()
 
-let pp_run_report ?jobs ?bank_shards fmt ~(tech : Nvsc_nvram.Technology.t) r =
+let pp_run_report ?jobs fmt ~(tech : Nvsc_nvram.Technology.t) r =
   pp_summary_and_objects fmt r;
   let trace = Option.get r.Nvsc_core.Scavenger.mem_trace in
   pp_trace_line fmt trace;
-  pp_normalized_power fmt (power_results ?jobs ?bank_shards trace);
+  pp_normalized_power fmt (power_results ?jobs trace);
   let hybrid =
     planned_hybrid ~tech:(Nvsc_nvram.Technology.get tech.tech) r
   in
@@ -770,14 +770,12 @@ let run_cmd =
             ?trace_out:(Cli.profile_trace_out profile)
             ~enabled:(Cli.profile_enabled profile)
           @@ fun () ->
-          (* one --shards knob drives both sharded stages: the
-             set-partitioned cache filter and the bank-sharded DRAM
-             replay (the latter clamped to the organisation's banks) *)
-          pp_run_report ~jobs:shards ~bank_shards:shards fmt ~tech
+          (* --shards N simulates the technologies on up to N domains;
+             the scavenger pass itself is serial *)
+          pp_run_report ~jobs:shards fmt ~tech
             (Nvsc_core.Scavenger.run
                Nvsc_core.Scavenger.Config.(
-                 scavenger_config ~scale ~iterations
-                 |> with_trace true |> with_shards shards)
+                 scavenger_config ~scale ~iterations |> with_trace true)
                app))
   in
   let info =

@@ -63,11 +63,6 @@ module Config : sig
     sanitize : bool;  (** attach the NVSC-San trace sanitizer *)
     check_init : bool;  (** sanitizer: also track uninitialised reads *)
     persist : bool;  (** attach the NVSC-Persist crash-consistency checker *)
-    shards : int;
-        (** filter-stage parallelism: shard the cache simulation by set
-            index across this many worker domains (clamped to the largest
-            power of two dividing both levels' set counts; 1 = serial).
-            Output is byte-identical for every shard count. *)
     obs : Nvsc_obs.t;
         (** arm span recording for this run ({!Nvsc_obs.on}) or leave the
             recorder as-is ({!Nvsc_obs.off}) *)
@@ -92,10 +87,6 @@ module Config : sig
   (** Attach {!Nvsc_sanitizer.Persist_check} to the run: the result's
       [persist_report] carries its verdict on the app's epoch/flush/fence
       annotations.  Independent of [sanitize]. *)
-
-  val with_shards : int -> t -> t
-  (** Filter-stage parallelism (≥ 1; only meaningful with
-      [with_trace true]).  See {!Shard}. *)
 
   val with_obs : Nvsc_obs.t -> t -> t
 end

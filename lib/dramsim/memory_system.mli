@@ -46,7 +46,6 @@ val compare_technologies :
   ?row_policy:Controller.row_policy ->
   ?scheduler:Controller.scheduler ->
   ?jobs:int ->
-  ?bank_shards:int ->
   techs:Nvsc_nvram.Technology.t list ->
   replay:(Nvsc_memtrace.Sink.t -> unit) ->
   unit ->
@@ -59,10 +58,8 @@ val compare_technologies :
     technologies on a domain pool (each worker owns a private controller;
     [replay] must then be safe to run concurrently against distinct
     sinks, which trace-log batch replay is); results keep input order and
-    are byte-identical to the serial path.  [bank_shards > 1] runs each
-    FCFS simulation through the bank-sharded {!Controller_team} (clamped
-    by {!Controller_team.shards_for}; ignored under [Fr_fcfs]) — again
-    byte-identical by construction. *)
+    are byte-identical to the serial path.  At most one domain per
+    technology runs, so [jobs] beyond [List.length techs] adds nothing. *)
 
 val normalized_power :
   (Nvsc_nvram.Technology.t * Controller.stats) list ->

@@ -574,14 +574,23 @@ module Reader = struct
       if Digest.string payload <> tmd5 then
         err path "corrupt trailer (digest mismatch)";
       let d = dec payload ~path ~what:"trailer" in
+      (* Counts are checked against the bytes that must hold their
+         entries before anything is sized from them: an object takes at
+         least one byte, an index entry at least 18. *)
+      let get_count what ~entry_bytes =
+        let n = get_varint d in
+        if n < 0 || n > (String.length d.s - d.pos) / entry_bytes then
+          err path "corrupt trailer (%s count %d)" what n;
+        n
+      in
       let r_refs = get_varint d in
       let r_reads = get_varint d in
       let r_writes = get_varint d in
-      let nobjs = get_varint d in
+      let nobjs = get_count "object" ~entry_bytes:1 in
       let r_objects = List.init nobjs (fun _ -> get_obj d) in
-      let nstack = get_varint d in
+      let nstack = get_count "stack object" ~entry_bytes:1 in
       let r_stack = List.init nstack (fun _ -> get_obj d) in
-      let nchunks = get_varint d in
+      let nchunks = get_count "chunk" ~entry_bytes:18 in
       let index =
         Array.init nchunks (fun _ ->
             let c_offset = get_varint d in
@@ -609,6 +618,22 @@ module Reader = struct
       in
       if recomputed <> stored_digest then
         err path "corrupt trace (whole-trace digest mismatch)";
+      (* The digest does not cover [c_refs], and [stream] sizes its batch
+         from the largest one: bound each by its chunk's byte span (the
+         gap to the next chunk, or to the trailer), at least one byte per
+         reference.  Offsets must rise strictly inside the data region. *)
+      let data_start = 14 + hlen in
+      Array.iteri
+        (fun k c ->
+          let next =
+            if k + 1 < nchunks then index.(k + 1).c_offset else trailer_offset
+          in
+          if (k = 0 && c.c_offset < data_start) || c.c_offset >= next then
+            err path "corrupt chunk index (chunk %d offset %d)" k c.c_offset;
+          if c.c_refs < 0 || c.c_refs > next - c.c_offset then
+            err path "corrupt chunk index (chunk %d claims %d refs in %d bytes)"
+              k c.c_refs (next - c.c_offset))
+        index;
       let map =
         match mode with
         | Buffered -> None
@@ -632,7 +657,7 @@ module Reader = struct
         r_stack;
         index;
         r_digest = Digest.to_hex stored_digest;
-        data_start = 14 + hlen;
+        data_start;
         trailer_offset;
       }
     with
@@ -692,6 +717,8 @@ let stream (r : Reader.t) ?(on_objects = fun _ -> ()) ?(on_phase = fun _ -> ())
         on_instr (get_varint d)
       | t when t = tag_refs ->
         let n = get_varint d in
+        if n < 0 || n > nrefs - !decoded then
+          err path "corrupt chunk %d (record count mismatch)" k;
         for _ = 1 to n do
           let sz_op = get_varint d in
           let addr = !prev_addr + unzigzag (get_varint d) in
@@ -756,6 +783,8 @@ let stream (r : Reader.t) ?(on_objects = fun _ -> ()) ?(on_phase = fun _ -> ())
         on_instr (bget_varint d)
       | t when t = tag_refs ->
         let n = bget_varint d in
+        if n < 0 || n > nrefs - !decoded then
+          err path "corrupt chunk %d (record count mismatch)" k;
         for _ = 1 to n do
           let sz_op = bget_varint d in
           let addr = !prev_addr + unzigzag (bget_varint d) in

@@ -23,7 +23,7 @@ type stats = {
 
 val run :
   ?jobs:int -> ?cache:Cache.t -> ?trace:string -> Matrix.t -> outcome array * stats
-(** [jobs] defaults to {!Pool.default_jobs}.  Without [cache] every cell
+(** [jobs] defaults to {!Nvsc_team.Pool.default_jobs}.  Without [cache] every cell
     executes and [hits]/[misses]/[evictions] stay 0.  With [trace] (an
     [.nvt] file) every cell replays the recorded stream instead of
     re-running its application, and the trace's content digest is stamped

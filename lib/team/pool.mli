@@ -3,7 +3,9 @@
     [map ~jobs f items] applies [f] to every element of [items] on a pool
     of [jobs] OCaml 5 domains (the calling domain is one of them) and
     returns the results {e in input order} — the deterministic ordered
-    collection the sweep's byte-identical-report contract rests on.
+    collection that byte-identical sweep reports and parallel
+    technology simulations ([Memory_system.compare_technologies])
+    rest on.  Metrics register under [sweep.pool.*] for every user.
     Work distribution is a take-a-ticket queue (one atomic counter), so
     domains pull the next cell as they finish rather than owning a fixed
     stripe; results land in per-index slots, never shared between

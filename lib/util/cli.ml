@@ -59,9 +59,9 @@ let jobs =
 
 let shards =
   let doc =
-    "Cache-filter shard domains (default 1 = serial).  The simulation is \
-     partitioned by set index across N worker domains; the report and \
-     trace are byte-identical for every N."
+    "Technology-simulation domains (default 1 = serial).  The memory \
+     technologies are simulated in parallel on up to N domains, at most \
+     one per technology; the report is byte-identical for every N."
   in
   Arg.(
     value

@@ -151,6 +151,88 @@ let test_miss_rate () =
   Cache.reset_stats c;
   Alcotest.(check (float 1e-9)) "reset" 0. (Cache.miss_rate c)
 
+(* Property: the hierarchy's batch-time run detector
+   ([Hierarchy.consume] gobbling same-line memo hits) must be invisible
+   in every counter and every trace record.  Random run-heavy
+   word-granular streams — the access shape the detector targets — are
+   replayed per reference through [access_raw] (never coalesces) and as
+   64-reference batch slices through [consume]. *)
+module Hierarchy = Nvsc_cachesim.Hierarchy
+module Trace_log = Nvsc_memtrace.Trace_log
+module Access = Nvsc_memtrace.Access
+module Sink = Nvsc_memtrace.Sink
+
+let gen_run_stream =
+  QCheck.Gen.(
+    list_size (int_range 1 60)
+      (triple (int_bound 0x3FFF) (int_range 1 24) (int_bound 255)))
+
+let expand_runs segs =
+  List.concat_map
+    (fun (line, len, wpat) ->
+      List.init len (fun j ->
+          let addr = 0x400000 + (line * 64) + ((j * 4) land 63) in
+          let op =
+            if (wpat lsr (j land 7)) land 1 = 1 then Access.Write
+            else Access.Read
+          in
+          (addr, 4, op)))
+    segs
+
+let cache_fingerprint c =
+  [
+    Cache.hits c; Cache.misses c; Cache.read_hits c; Cache.read_misses c;
+    Cache.write_hits c; Cache.write_misses c; Cache.evictions c;
+    Cache.dirty_evictions c;
+  ]
+
+let hier_fp h =
+  ( cache_fingerprint (Hierarchy.l1d h),
+    cache_fingerprint (Hierarchy.l2 h),
+    Hierarchy.accesses h,
+    Hierarchy.memory_reads h,
+    Hierarchy.memory_writes h )
+
+let trace_triples log =
+  let acc = ref [] in
+  Trace_log.replay log (fun a ->
+      acc := (a.Access.addr, a.Access.size, a.Access.op) :: !acc);
+  List.rev !acc
+
+let per_ref_run refs =
+  let log = Trace_log.create () in
+  let h = Hierarchy.create ~sink:(Trace_log.sink log) () in
+  List.iter (fun (addr, size, op) -> Hierarchy.access_raw h ~addr ~size ~op) refs;
+  Hierarchy.drain h;
+  (h, log)
+
+let batched_run refs ~batch_capacity =
+  let log = Trace_log.create () in
+  let h = Hierarchy.create ~sink:(Trace_log.sink log) () in
+  let batch = Sink.Batch.create batch_capacity in
+  let n = ref 0 in
+  let flush () =
+    Hierarchy.consume h batch ~first:0 ~n:!n;
+    n := 0
+  in
+  List.iter
+    (fun (addr, size, op) ->
+      Sink.Batch.set batch !n ~addr ~size ~op;
+      incr n;
+      if !n = batch_capacity then flush ())
+    refs;
+  flush ();
+  Hierarchy.drain h;
+  (h, log)
+
+let coalescing_invisible =
+  QCheck.Test.make ~name:"run coalescing is invisible (per-ref = consume)"
+    ~count:20 (QCheck.make gen_run_stream) (fun segs ->
+      let refs = expand_runs segs in
+      let ha, la = per_ref_run refs in
+      let hc, lc = batched_run refs ~batch_capacity:64 in
+      hier_fp ha = hier_fp hc && trace_triples la = trace_triples lc)
+
 let suite =
   [
     Alcotest.test_case "params validation" `Quick test_params_validation;
@@ -169,4 +251,5 @@ let suite =
     QCheck_alcotest.to_alcotest test_capacity_bound_prop;
     QCheck_alcotest.to_alcotest test_hit_after_miss_prop;
     Alcotest.test_case "miss rate" `Quick test_miss_rate;
+    QCheck_alcotest.to_alcotest coalescing_invisible;
   ]

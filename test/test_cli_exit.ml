@@ -67,6 +67,7 @@ let table =
     ("sweep bad override", [ "sweep"; "--override"; "bogus=1" ], 2);
     ("sweep unknown kind", [ "sweep"; "--kinds"; "nosuchkind" ], 2);
     ("unknown technology", [ "run"; "gtc"; "--tech"; "unobtainium" ], 2);
+    ("shards zero", [ "run"; "gtc"; "--shards"; "0" ], 2);
     ("client no daemon", [ "client"; "ping"; "--socket"; "/nonexistent.sock" ], 2);
     ("serve bad port", [ "serve"; "--port"; "0" ], 2);
     ("list ok", [ "list" ], 0);
@@ -75,6 +76,10 @@ let table =
   ]
 
 let test_exit_codes () =
+  let hostile = Filename.temp_file "nvsc-hostile" ".nvt" in
+  Fun.protect ~finally:(fun () -> try Sys.remove hostile with Sys_error _ -> ())
+  @@ fun () ->
+  Test_trace_codec.(write_file hostile (hostile_chunk_refs_trace ()));
   List.iter
     (fun (name, args, expected) ->
       let code, out, err = run_nvscav args in
@@ -90,7 +95,7 @@ let test_exit_codes () =
           (name ^ ": usage error prints nothing on stdout")
           "" out
       end)
-    table
+    (table @ [ ("replay hostile chunk count", [ "replay"; hostile ], 2) ])
 
 let suite =
   [ Alcotest.test_case "exit-code table" `Slow test_exit_codes ]

@@ -211,6 +211,40 @@ let test_normalized_power_table6_band () =
   Alcotest.(check bool) "ordering STTRAM <= MRAM" true (s <= m);
   Alcotest.(check bool) "MRAM saves at least 25%" true (m < 0.78)
 
+(* Technology-level parallelism: [jobs] workers replay one shared trace
+   log into private controllers, and the results must equal the serial
+   map's in order and bit for bit — also at 8 jobs, beyond the four
+   technologies, where the pool clamps. *)
+let test_power_jobs_identical () =
+  let lcg = ref 12345 in
+  let log = Nvsc_memtrace.Trace_log.create () in
+  for i = 0 to 1999 do
+    lcg := (!lcg * 1103515245) + 12345;
+    let addr =
+      if i land 3 = 0 then 0x10000 + (i * 64)
+      else 0x400000 + ((!lcg lsr 7) land 0x3FFFC0)
+    in
+    let op = if i land 7 < 3 then Access.Write else Access.Read in
+    Nvsc_memtrace.Trace_log.record_raw log ~addr ~size:64 ~op
+  done;
+  let replay sink = Nvsc_memtrace.Trace_log.replay_batch log sink in
+  let serial = Memory_system.compare_technologies ~techs:Tech.paper_set ~replay () in
+  List.iter
+    (fun jobs ->
+      let parallel =
+        Memory_system.compare_technologies ~jobs ~techs:Tech.paper_set ~replay
+          ()
+      in
+      List.iter2
+        (fun ((ts : Tech.t), (ss : Controller.stats))
+             ((tp : Tech.t), (sp : Controller.stats)) ->
+          Alcotest.(check string) "tech order" ts.name tp.name;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s jobs=%d: stats identical" ts.name jobs)
+            true (ss = sp))
+        serial parallel)
+    [ 2; 4; 8 ]
+
 let test_normalized_requires_baseline () =
   Alcotest.check_raises "no DDR3"
     (Invalid_argument "Memory_system.normalized_power: no DDR3 baseline")
@@ -255,6 +289,8 @@ let suite =
     Alcotest.test_case "window validation" `Quick test_window_required_positive;
     Alcotest.test_case "Table VI band on synthetic trace" `Quick
       test_normalized_power_table6_band;
+    Alcotest.test_case "technology-parallel power stage is byte-identical"
+      `Quick test_power_jobs_identical;
     Alcotest.test_case "baseline required" `Quick test_normalized_requires_baseline;
     QCheck_alcotest.to_alcotest test_latency_positive_prop;
   ]

@@ -212,7 +212,6 @@ let test_config_builders () =
       |> with_sampling ~period:100 ~sample_length:10
       |> with_batch_capacity 64
       |> with_sanitize ~check_init:true true
-      |> with_shards 4
       |> with_obs Obs.on)
   in
   Alcotest.(check (float 0.)) "scale" 0.5 cfg.C.scale;
@@ -223,41 +222,9 @@ let test_config_builders () =
   Alcotest.(check (option int)) "batch capacity" (Some 64) cfg.C.batch_capacity;
   Alcotest.(check bool) "sanitize" true cfg.C.sanitize;
   Alcotest.(check bool) "check_init" true cfg.C.check_init;
-  Alcotest.(check int) "shards" 4 cfg.C.shards;
-  Alcotest.(check int) "default shards" 1 C.default.C.shards;
   Alcotest.(check bool) "obs handle" true (Obs.is_armed cfg.C.obs);
   (* updates are functional: default is untouched *)
   Alcotest.(check (float 0.)) "default intact" 1.0 C.default.C.scale
-
-(* [run_legacy] is gone (v2 API cleanup): the sharded run is the config
-   surface under equivalence test now — every analysis field must be
-   independent of the shard count. *)
-let test_sharded_run_equivalence () =
-  let module S = Nvsc_core.Scavenger in
-  let base =
-    S.Config.(default |> with_scale 0.25 |> with_iterations 2
-              |> with_trace true)
-  in
-  let serial = S.run base app in
-  let sharded = S.run S.Config.(base |> with_shards 4) app in
-  Alcotest.(check int) "footprint" serial.S.footprint_bytes
-    sharded.S.footprint_bytes;
-  Alcotest.(check int) "main refs" serial.S.total_main_refs
-    sharded.S.total_main_refs;
-  Alcotest.(check bool) "object metrics" true
-    (serial.S.metrics = sharded.S.metrics);
-  Alcotest.(check bool) "pipeline stats" true
-    (serial.S.pipeline = sharded.S.pipeline);
-  Alcotest.(check (float 0.)) "l1 miss rate" serial.S.l1_miss_rate
-    sharded.S.l1_miss_rate;
-  Alcotest.(check (float 0.)) "l2 miss rate" serial.S.l2_miss_rate
-    sharded.S.l2_miss_rate;
-  let len r =
-    match r.S.mem_trace with
-    | Some t -> Nvsc_memtrace.Trace_log.length t
-    | None -> -1
-  in
-  Alcotest.(check int) "trace length" (len serial) (len sharded)
 
 (* The run config arms the recorder for exactly one run. *)
 let test_config_scoped_profiling () =
@@ -298,8 +265,6 @@ let suite =
     Alcotest.test_case "chrome trace roundtrips through Json" `Quick
       test_chrome_trace_roundtrip;
     Alcotest.test_case "Config builders" `Quick test_config_builders;
-    Alcotest.test_case "sharded run equals serial run" `Slow
-      test_sharded_run_equivalence;
     Alcotest.test_case "Config.obs arms one run" `Quick
       test_config_scoped_profiling;
   ]

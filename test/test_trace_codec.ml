@@ -593,14 +593,13 @@ type golden_event =
 
 let golden_digest = "9455ba2202cb87db6fc9013078e23b83"
 
+(* set by the dune action; the fallback serves [dune exec] from the repo
+   root *)
+let golden_path () =
+  Option.value (Sys.getenv_opt "GOLDEN_NVT") ~default:"test/golden/mini.nvt"
+
 let test_golden_fixture () =
-  let path =
-    (* set by the dune action; the fallback serves [dune exec] from the
-       repo root *)
-    Option.value
-      (Sys.getenv_opt "GOLDEN_NVT")
-      ~default:"test/golden/mini.nvt"
-  in
+  let path = golden_path () in
   let r = Trace_codec.Reader.open_ path in
   Fun.protect ~finally:(fun () -> Trace_codec.Reader.close r)
   @@ fun () ->
@@ -671,6 +670,110 @@ let test_golden_fixture () =
     "re-encoded bytes identical" true
     (read_file out = read_file path)
 
+(* The golden fixture with its last chunk's index count [c_refs] set to
+   2^40 and the trailer MD5 re-sealed.  The whole-trace digest covers the
+   chunk MD5s but not the counts, so only the reader's bound on each
+   count stands between this file and an 8 TB batch allocation.
+   Trailer: 'T', u32 length, MD5, payload, then the 16-byte end block;
+   the payload ends with the last entry's varints (offset, count), its
+   chunk MD5 and the whole-trace digest. *)
+let hostile_chunk_refs_trace () =
+  let s = read_file (golden_path ()) in
+  let len = String.length s in
+  let toff = u64le s (len - 16) in
+  let tlen = u32le s (toff + 1) in
+  let payload = String.sub s (toff + 21) tlen in
+  let stop = tlen - 32 in
+  let start = ref (stop - 1) in
+  while Char.code payload.[!start - 1] >= 0x80 do
+    decr start
+  done;
+  let varint n =
+    let b = Buffer.create 8 in
+    let rec go n =
+      if n < 0x80 then Buffer.add_char b (Char.chr n)
+      else begin
+        Buffer.add_char b (Char.chr (0x80 lor (n land 0x7f)));
+        go (n lsr 7)
+      end
+    in
+    go n;
+    Buffer.contents b
+  in
+  let payload =
+    String.sub payload 0 !start
+    ^ varint (1 lsl 40)
+    ^ String.sub payload stop (tlen - stop)
+  in
+  let u32 n = String.init 4 (fun i -> Char.chr ((n lsr (8 * i)) land 0xff)) in
+  String.sub s 0 (toff + 1)
+  ^ u32 (String.length payload)
+  ^ Digest.string payload ^ payload
+  ^ String.sub s (len - 16) 16
+
+let test_rejects_hostile_chunk_count () =
+  with_tmp @@ fun path ->
+  write_file path (hostile_chunk_refs_trace ());
+  List.iter
+    (fun mode ->
+      expect_error ~substr:"claims 1099511627776 refs" (fun () ->
+          Trace_codec.Reader.open_ ~mode path))
+    [ Trace_codec.Buffered; Trace_codec.Mmap ]
+
+(* The golden fixture with both chunks rewritten to claim one reference
+   (the count at the head of each chunk payload and its index entry),
+   every MD5 and the whole-trace digest re-sealed.  The batch is then
+   one slot wide while the first [refs] token carries two references:
+   the decoder must reject the token before writing past the batch. *)
+let understated_chunk_refs_trace () =
+  let s = read_file (golden_path ()) in
+  let b = Bytes.of_string s in
+  let hlen = u32le s 10 in
+  let toff = u64le s (String.length s - 16) in
+  let tlen = u32le s (toff + 1) in
+  let tpay = toff + 21 in
+  let rec chunks pos acc =
+    if pos >= toff then List.rev acc
+    else begin
+      let clen = u32le s (pos + 1) in
+      let old_md5 = String.sub s (pos + 5) 16 in
+      Bytes.set b (pos + 21) '\001';
+      let md5 = Digest.subbytes b (pos + 21) clen in
+      Bytes.blit_string md5 0 b (pos + 5) 16;
+      chunks (pos + 21 + clen) ((old_md5, md5) :: acc)
+    end
+  in
+  let md5s = chunks (14 + hlen) [] in
+  let trailer = String.sub s tpay tlen in
+  List.iter
+    (fun (old_md5, md5) ->
+      let rec find i =
+        if String.sub trailer i 16 = old_md5 then i else find (i + 1)
+      in
+      let p = tpay + find 0 in
+      Bytes.set b (p - 1) '\001';
+      Bytes.blit_string md5 0 b p 16)
+    md5s;
+  let digest =
+    Digest.string
+      (String.concat ""
+         (Digest.string (String.sub s 14 hlen) :: List.map snd md5s))
+  in
+  Bytes.blit_string digest 0 b (tpay + tlen - 16) 16;
+  Bytes.blit_string (Digest.subbytes b tpay tlen) 0 b (toff + 5) 16;
+  Bytes.to_string b
+
+let test_rejects_understated_chunk_count () =
+  with_tmp @@ fun path ->
+  write_file path (understated_chunk_refs_trace ());
+  List.iter
+    (fun mode ->
+      let r = Trace_codec.Reader.open_ ~mode path in
+      Fun.protect ~finally:(fun () -> Trace_codec.Reader.close r) @@ fun () ->
+      expect_error ~substr:"chunk 0 (record count mismatch)" (fun () ->
+          Trace_codec.stream r ~on_refs:(fun _ ~obj_ids:_ ~first:_ ~n:_ -> ()) ()))
+    [ Trace_codec.Buffered; Trace_codec.Mmap ]
+
 let suite =
   [
     Alcotest.test_case "record/replay identical for all apps" `Quick
@@ -698,5 +801,9 @@ let suite =
       test_trace_file_size_and_errors;
     Alcotest.test_case "golden fixture decodes and re-encodes byte-identically"
       `Quick test_golden_fixture;
+    Alcotest.test_case "hostile chunk count is rejected at open" `Quick
+      test_rejects_hostile_chunk_count;
+    Alcotest.test_case "refs token beyond its chunk's count is rejected" `Quick
+      test_rejects_understated_chunk_count;
     QCheck_alcotest.to_alcotest codec_roundtrip;
   ]
