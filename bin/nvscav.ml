@@ -873,24 +873,7 @@ let replay_cmd =
       & info [ "tech" ] ~docv:"TECH"
           ~doc:"NVRAM technology for $(b,run)/$(b,place) replays.")
   in
-  let reader_arg =
-    let modes =
-      [
-        ("auto", Nvsc_memtrace.Trace_codec.Auto);
-        ("mmap", Nvsc_memtrace.Trace_codec.Mmap);
-        ("buffered", Nvsc_memtrace.Trace_codec.Buffered);
-      ]
-    in
-    Arg.(
-      value
-      & opt (enum modes) Nvsc_memtrace.Trace_codec.Auto
-      & info [ "reader" ] ~docv:"MODE"
-          ~doc:
-            "Chunk I/O path: $(b,auto) (default: mmap when available), \
-             $(b,mmap) (require the mapped reader) or $(b,buffered) \
-             (channel reads).  Output is byte-identical across modes.")
-  in
-  let run () path kind tech_name reader profile =
+  let run () path kind tech_name profile =
     match Nvsc_nvram.Technology.of_string tech_name with
     | None -> `Error (false, Printf.sprintf "unknown technology %S" tech_name)
     | Some tech ->
@@ -901,19 +884,19 @@ let replay_cmd =
       @@ fun () ->
       (match kind with
       | `Run ->
-        pp_run_report fmt ~tech (Nvsc_core.Trace_run.replay ~reader path)
+        pp_run_report fmt ~tech (Nvsc_core.Trace_run.replay path)
       | `Objects ->
-        pp_analyze_report fmt (Nvsc_core.Trace_run.replay ~reader path)
+        pp_analyze_report fmt (Nvsc_core.Trace_run.replay path)
       | `Power ->
-        let r = Nvsc_core.Trace_run.replay ~reader path in
+        let r = Nvsc_core.Trace_run.replay path in
         pp_power_report fmt (Option.get r.Nvsc_core.Scavenger.mem_trace)
       | `Perf ->
         Nvsc_cpusim.Sensitivity.pp_points fmt
           (Nvsc_cpusim.Sensitivity.run
-             ~replay:(Nvsc_core.Trace_run.perf_replay ~reader path)
+             ~replay:(Nvsc_core.Trace_run.perf_replay path)
              ())
       | `Place ->
-        pp_place_report fmt ~tech (Nvsc_core.Trace_run.replay ~reader path));
+        pp_place_report fmt ~tech (Nvsc_core.Trace_run.replay path));
       `Ok ()
   in
   let info =
@@ -930,8 +913,7 @@ let replay_cmd =
   Cmd.v info
     Term.(
       ret
-        (const run $ logs_term $ trace_arg $ kind_arg $ tech_arg $ reader_arg
-       $ Cli.profile))
+        (const run $ logs_term $ trace_arg $ kind_arg $ tech_arg $ Cli.profile))
 
 (* --- crashsim ------------------------------------------------------------- *)
 

@@ -106,17 +106,23 @@ let put_meta buf (m : meta) ~chunk_capacity =
 
 (* --- primitive decoders ------------------------------------------------- *)
 
-(* Decoding works over an in-memory string (one chunk / header / trailer
-   payload at a time — each bounded by the chunk size, not the trace
-   length); any overrun is a truncation of [what] in [path]. *)
-type dec = { s : string; mutable pos : int; d_path : string; what : string }
+(* Decoding works over the first [lim] bytes of an in-memory buffer (one
+   chunk / header / trailer payload at a time — each bounded by the bytes
+   the file holds, not by a length it merely claims); any overrun is a
+   truncation of [what] in [path]. *)
+type dec = {
+  s : Bytes.t;
+  mutable pos : int;
+  lim : int;
+  d_path : string;
+  what : string;
+}
 
-let dec s ~path ~what = { s; pos = 0; d_path = path; what }
+let dec s ~len ~path ~what = { s; pos = 0; lim = len; d_path = path; what }
 
 let get_byte d =
-  if d.pos >= String.length d.s then
-    err d.d_path "truncated %s" d.what;
-  let b = Char.code (String.unsafe_get d.s d.pos) in
+  if d.pos >= d.lim then err d.d_path "truncated %s" d.what;
+  let b = Char.code (Bytes.unsafe_get d.s d.pos) in
   d.pos <- d.pos + 1;
   b
 
@@ -128,10 +134,16 @@ let get_varint d =
   in
   go 0 0
 
-let get_str d =
+(* A count of items that each take at least one more byte, so a claim
+   beyond the bytes left is a truncation, never an allocation. *)
+let get_count d =
   let n = get_varint d in
-  if d.pos + n > String.length d.s then err d.d_path "truncated %s" d.what;
-  let s = String.sub d.s d.pos n in
+  if n < 0 || n > d.lim - d.pos then err d.d_path "truncated %s" d.what;
+  n
+
+let get_str d =
+  let n = get_count d in
+  let s = Bytes.sub_string d.s d.pos n in
   d.pos <- d.pos + n;
   s
 
@@ -148,70 +160,11 @@ let get_obj d =
   let kind = kind_of_code d.d_path (get_byte d) in
   let base = get_varint d in
   let size = get_varint d in
+  if size <= 0 then err d.d_path "corrupt %s (object size %d)" d.what size;
   let signature = get_str d in
-  let ncall = get_varint d in
-  let callstack = List.init ncall (fun _ -> get_str d) in
+  let callstack = List.init (get_count d) (fun _ -> get_str d) in
   let alloc_phase = phase_of_code d.d_path (get_varint d) in
   let live = get_byte d <> 0 in
-  let o =
-    Mem_object.make ~id ~name ~kind ~base ~size ~signature ~callstack
-      ~alloc_phase ()
-  in
-  o.Mem_object.live <- live;
-  o
-
-(* Mmap-backed decoding: the same token grammar read straight out of a
-   [Unix.map_file] view of the trace instead of channel reads into payload
-   strings.  The primitives are duplicated rather than functorised — the
-   per-byte getters sit on the replay hot path, and an indirect call per
-   byte through a functor would cost more than the copies it saves. *)
-type buf =
-  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-type bdec = {
-  m : buf;
-  mutable mpos : int;
-  mend : int;
-  m_path : string;
-  m_what : string;
-}
-
-let bdec m ~pos ~len ~path ~what =
-  { m; mpos = pos; mend = pos + len; m_path = path; m_what = what }
-
-let bget_byte d =
-  if d.mpos >= d.mend then err d.m_path "truncated %s" d.m_what;
-  let b = Char.code (Bigarray.Array1.unsafe_get d.m d.mpos) in
-  d.mpos <- d.mpos + 1;
-  b
-
-let bget_varint d =
-  let rec go shift acc =
-    let b = bget_byte d in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b < 0x80 then acc else go (shift + 7) acc
-  in
-  go 0 0
-
-let bget_raw d n =
-  if d.mpos + n > d.mend then err d.m_path "truncated %s" d.m_what;
-  let s = String.init n (fun i -> Bigarray.Array1.unsafe_get d.m (d.mpos + i)) in
-  d.mpos <- d.mpos + n;
-  s
-
-let bget_str d = bget_raw d (bget_varint d)
-
-let bget_obj d =
-  let id = bget_varint d in
-  let name = bget_str d in
-  let kind = kind_of_code d.m_path (bget_byte d) in
-  let base = bget_varint d in
-  let size = bget_varint d in
-  let signature = bget_str d in
-  let ncall = bget_varint d in
-  let callstack = List.init ncall (fun _ -> bget_str d) in
-  let alloc_phase = phase_of_code d.m_path (bget_varint d) in
-  let live = bget_byte d <> 0 in
   let o =
     Mem_object.make ~id ~name ~kind ~base ~size ~signature ~callstack
       ~alloc_phase ()
@@ -227,20 +180,20 @@ let get_meta d =
   let scale = get_f64 d in
   let iterations = get_varint d in
   let batch_capacity = get_varint d in
-  let chunk_capacity = get_varint d in
-  ( {
-      app;
-      description;
-      input_description;
-      paper_footprint_mb;
-      scale;
-      iterations;
-      batch_capacity;
-    },
-    chunk_capacity )
+  (* the writer's chunk capacity: informational, nothing is sized from it *)
+  ignore (get_varint d : int);
+  {
+    app;
+    description;
+    input_description;
+    paper_footprint_mb;
+    scale;
+    iterations;
+    batch_capacity;
+  }
 
 (* Fixed-width channel reads (the only decoding not done over a payload
-   string: the file skeleton around the digested payloads). *)
+   buffer: the file skeleton around the digested payloads). *)
 let really_read ic path n =
   let b = Bytes.create n in
   (try really_input ic b 0 n with End_of_file -> err path "truncated file");
@@ -506,16 +459,17 @@ end
 
 type chunk_info = { c_offset : int; c_refs : int; c_md5 : string }
 
-type io_mode = Auto | Mmap | Buffered
+(* Chunk [k] spans from its offset to the next chunk's, or to the trailer:
+   a 21-byte frame ('C', u32 length, MD5) and then its payload. *)
+let chunk_end index ~trailer_offset k =
+  if k + 1 < Array.length index then index.(k + 1).c_offset else trailer_offset
 
 module Reader = struct
   type t = {
     r_path : string;
     ic : in_channel;
-    map : buf option;  (* [Some _] iff chunks decode from an mmap view *)
     r_version : int;
     r_meta : meta;
-    r_chunk_capacity : int;
     r_refs : int;
     r_reads : int;
     r_writes : int;
@@ -525,15 +479,10 @@ module Reader = struct
     r_digest : string;  (* hex *)
     data_start : int;
     trailer_offset : int;
+    max_payload : int;  (* the largest chunk span, less its frame *)
   }
 
-  let map_file path len =
-    let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
-    let g = Unix.map_file fd Bigarray.char Bigarray.c_layout false [| len |] in
-    Bigarray.array1_of_genarray g
-
-  let open_ ?(mode = Auto) path =
+  let open_ path =
     let ic = try open_in_bin path with Sys_error m -> raise (Error m) in
     match
       let len = in_channel_length ic in
@@ -546,8 +495,10 @@ module Reader = struct
       let hlen = read_u32le ic path in
       if 14 + hlen + 16 > len then err path "truncated file";
       let header_payload = really_read ic path hlen in
-      let r_meta, r_chunk_capacity =
-        get_meta (dec header_payload ~path ~what:"header")
+      let r_meta =
+        get_meta
+          (dec (Bytes.unsafe_of_string header_payload) ~len:hlen ~path
+             ~what:"header")
       in
       seek_in ic (len - 16);
       let eof = really_read ic path 16 in
@@ -573,43 +524,40 @@ module Reader = struct
       let payload = really_read ic path tlen in
       if Digest.string payload <> tmd5 then
         err path "corrupt trailer (digest mismatch)";
-      let d = dec payload ~path ~what:"trailer" in
+      let d =
+        dec (Bytes.unsafe_of_string payload) ~len:tlen ~path ~what:"trailer"
+      in
       (* Counts are checked against the bytes that must hold their
          entries before anything is sized from them: an object takes at
          least one byte, an index entry at least 18. *)
-      let get_count what ~entry_bytes =
+      let get_table_count what ~entry_bytes =
         let n = get_varint d in
-        if n < 0 || n > (String.length d.s - d.pos) / entry_bytes then
+        if n < 0 || n > (d.lim - d.pos) / entry_bytes then
           err path "corrupt trailer (%s count %d)" what n;
         n
+      in
+      let get_md5 () =
+        if d.pos + 16 > d.lim then err path "truncated trailer";
+        let s = Bytes.sub_string d.s d.pos 16 in
+        d.pos <- d.pos + 16;
+        s
       in
       let r_refs = get_varint d in
       let r_reads = get_varint d in
       let r_writes = get_varint d in
-      let nobjs = get_count "object" ~entry_bytes:1 in
+      let nobjs = get_table_count "object" ~entry_bytes:1 in
       let r_objects = List.init nobjs (fun _ -> get_obj d) in
-      let nstack = get_count "stack object" ~entry_bytes:1 in
+      let nstack = get_table_count "stack object" ~entry_bytes:1 in
       let r_stack = List.init nstack (fun _ -> get_obj d) in
-      let nchunks = get_count "chunk" ~entry_bytes:18 in
+      let nchunks = get_table_count "chunk" ~entry_bytes:18 in
       let index =
         Array.init nchunks (fun _ ->
             let c_offset = get_varint d in
             let c_refs = get_varint d in
-            let c_md5 =
-              if d.pos + 16 > String.length d.s then
-                err path "truncated trailer"
-              else begin
-                let s = String.sub d.s d.pos 16 in
-                d.pos <- d.pos + 16;
-                s
-              end
-            in
+            let c_md5 = get_md5 () in
             { c_offset; c_refs; c_md5 })
       in
-      let stored_digest =
-        if d.pos + 16 > String.length d.s then err path "truncated trailer"
-        else String.sub d.s d.pos 16
-      in
+      let stored_digest = get_md5 () in
       let recomputed =
         Digest.string
           (String.concat ""
@@ -618,38 +566,28 @@ module Reader = struct
       in
       if recomputed <> stored_digest then
         err path "corrupt trace (whole-trace digest mismatch)";
-      (* The digest does not cover [c_refs], and [stream] sizes its batch
-         from the largest one: bound each by its chunk's byte span (the
-         gap to the next chunk, or to the trailer), at least one byte per
-         reference.  Offsets must rise strictly inside the data region. *)
+      (* The digests cover neither the offsets nor [c_refs], and [stream]
+         sizes its batch from the largest count and its payload buffer
+         from the largest span: offsets must rise inside the data region
+         by at least a chunk frame each, and each count is bounded by its
+         chunk's span, at least one byte per reference. *)
       let data_start = 14 + hlen in
+      let max_payload = ref 0 in
       Array.iteri
         (fun k c ->
-          let next =
-            if k + 1 < nchunks then index.(k + 1).c_offset else trailer_offset
-          in
-          if (k = 0 && c.c_offset < data_start) || c.c_offset >= next then
+          let next = chunk_end index ~trailer_offset k in
+          if (k = 0 && c.c_offset < data_start) || c.c_offset + 21 > next then
             err path "corrupt chunk index (chunk %d offset %d)" k c.c_offset;
           if c.c_refs < 0 || c.c_refs > next - c.c_offset then
             err path "corrupt chunk index (chunk %d claims %d refs in %d bytes)"
-              k c.c_refs (next - c.c_offset))
+              k c.c_refs (next - c.c_offset);
+          max_payload := Stdlib.max !max_payload (next - c.c_offset - 21))
         index;
-      let map =
-        match mode with
-        | Buffered -> None
-        | Mmap -> (
-          try Some (map_file path len)
-          with Unix.Unix_error (e, _, _) ->
-            err path "mmap failed: %s" (Unix.error_message e))
-        | Auto -> ( try Some (map_file path len) with _ -> None)
-      in
       {
         r_path = path;
         ic;
-        map;
         r_version = v;
         r_meta;
-        r_chunk_capacity;
         r_refs;
         r_reads;
         r_writes;
@@ -659,6 +597,7 @@ module Reader = struct
         r_digest = Digest.to_hex stored_digest;
         data_start;
         trailer_offset;
+        max_payload = !max_payload;
       }
     with
     | r -> r
@@ -668,7 +607,6 @@ module Reader = struct
 
   let meta r = r.r_meta
   let version r = r.r_version
-  let chunk_capacity r = r.r_chunk_capacity
   let refs r = r.r_refs
   let reads r = r.r_reads
   let writes r = r.r_writes
@@ -676,7 +614,6 @@ module Reader = struct
   let digest r = r.r_digest
   let objects r = r.r_objects
   let stack_objects r = r.r_stack
-  let mmapped r = r.map <> None
   let close r = close_in_noerr r.ic
 end
 
@@ -685,11 +622,12 @@ let stream (r : Reader.t) ?(on_objects = fun _ -> ()) ?(on_phase = fun _ -> ())
     ?(on_chunk = fun _ -> ()) ~on_refs () =
   let path = r.Reader.r_path in
   let ic = r.Reader.ic in
-  let cap =
-    Array.fold_left (fun acc c -> Stdlib.max acc c.c_refs) 1 r.Reader.index
-  in
+  let index = r.Reader.index in
+  let cap = Array.fold_left (fun acc c -> Stdlib.max acc c.c_refs) 1 index in
   let batch = Sink.Batch.create cap in
   let obj_ids = Array.make cap (-1) in
+  (* one payload buffer for every chunk, sized by the bytes the file holds *)
+  let payload = Bytes.create r.Reader.max_payload in
   let len = ref 0 in
   let deliver () =
     if !len > 0 then begin
@@ -697,17 +635,17 @@ let stream (r : Reader.t) ?(on_objects = fun _ -> ()) ?(on_phase = fun _ -> ())
       len := 0
     end
   in
-  let decode_chunk_string k info payload =
-    let d = dec payload ~path ~what:(Printf.sprintf "chunk %d" k) in
+  let decode_chunk k info ~clen =
+    let d = dec payload ~len:clen ~path ~what:(Printf.sprintf "chunk %d" k) in
     let nrefs = get_varint d in
     if nrefs <> info.c_refs then
       err path "corrupt chunk %d (record count mismatch)" k;
-    let nobjs = get_varint d in
+    let nobjs = get_count d in
     if nobjs > 0 then on_objects (List.init nobjs (fun _ -> get_obj d));
     let prev_addr = ref 0 in
     let prev_id = ref 0 in
     let decoded = ref 0 in
-    while d.pos < String.length d.s do
+    while d.pos < d.lim do
       match get_byte d with
       | t when t = tag_phase ->
         deliver ();
@@ -761,128 +699,32 @@ let stream (r : Reader.t) ?(on_objects = fun _ -> ()) ?(on_phase = fun _ -> ())
     deliver ();
     nrefs
   in
-  (* Same grammar, read in place from the mapped file — no payload copy,
-     no channel buffering on the token path. *)
-  let decode_chunk_map m k info ~pos ~clen =
-    let d = bdec m ~pos ~len:clen ~path ~what:(Printf.sprintf "chunk %d" k) in
-    let nrefs = bget_varint d in
-    if nrefs <> info.c_refs then
-      err path "corrupt chunk %d (record count mismatch)" k;
-    let nobjs = bget_varint d in
-    if nobjs > 0 then on_objects (List.init nobjs (fun _ -> bget_obj d));
-    let prev_addr = ref 0 in
-    let prev_id = ref 0 in
-    let decoded = ref 0 in
-    while d.mpos < d.mend do
-      match bget_byte d with
-      | t when t = tag_phase ->
-        deliver ();
-        on_phase (phase_of_code path (bget_varint d))
-      | t when t = tag_instr ->
-        deliver ();
-        on_instr (bget_varint d)
-      | t when t = tag_refs ->
-        let n = bget_varint d in
-        if n < 0 || n > nrefs - !decoded then
-          err path "corrupt chunk %d (record count mismatch)" k;
-        for _ = 1 to n do
-          let sz_op = bget_varint d in
-          let addr = !prev_addr + unzigzag (bget_varint d) in
-          let obj_id = !prev_id + unzigzag (bget_varint d) in
-          prev_addr := addr;
-          prev_id := obj_id;
-          let i = !len in
-          Sink.Batch.set batch i ~addr ~size:(sz_op lsr 1)
-            ~op:(if sz_op land 1 = 1 then Access.Write else Access.Read);
-          obj_ids.(i) <- obj_id;
-          len := i + 1
-        done;
-        decoded := !decoded + n
-      | t when t = tag_persist ->
-        if r.Reader.r_version < 2 then
-          err path "corrupt chunk %d (persist token in a v1 trace)" k;
-        deliver ();
-        let ev =
-          match bget_byte d with
-          | s when s = psub_epoch_begin || s = psub_epoch_commit ->
-            let checkpoint = bget_byte d <> 0 in
-            let label = bget_str d in
-            if s = psub_epoch_begin then
-              Persist.Epoch_begin { label; checkpoint }
-            else Persist.Epoch_commit { label; checkpoint }
-          | s when s = psub_flush ->
-            let obj_id = bget_varint d in
-            let off = bget_varint d in
-            let len = bget_varint d in
-            Persist.Flush { obj_id; off; len }
-          | s when s = psub_fence -> Persist.Fence
-          | s when s = psub_declare ->
-            Persist.Declare { obj_id = bget_varint d }
-          | s -> err path "corrupt chunk %d (unknown persist event %d)" k s
-        in
-        on_persist ev
-      | t -> err path "corrupt chunk %d (unknown token %d)" k t
-    done;
-    if !decoded <> nrefs then
-      err path "corrupt chunk %d (record count mismatch)" k;
-    deliver ();
-    nrefs
-  in
-  (match r.Reader.map with
-  | None ->
-    seek_in ic r.Reader.data_start;
-    Array.iteri
-      (fun k info ->
-        if pos_in ic <> info.c_offset then
-          err path "corrupt chunk %d (offset mismatch)" k;
-        if really_read ic path 1 <> "C" then err path "corrupt chunk %d" k;
-        let clen = read_u32le ic path in
-        let stored = really_read ic path 16 in
-        if stored <> info.c_md5 then
-          err path "corrupt chunk %d (index digest mismatch)" k;
-        let payload = really_read ic path clen in
-        if Digest.string payload <> stored then
-          err path "corrupt chunk %d (digest mismatch)" k;
-        on_chunk k;
-        let nrefs = decode_chunk_string k info payload in
-        Nvsc_obs.Metrics.Counter.incr m_replay_chunks;
-        Nvsc_obs.Metrics.Counter.add m_replay_refs nrefs)
-      r.Reader.index;
-    if pos_in ic <> r.Reader.trailer_offset then
-      err path "trailing garbage between chunks and trailer"
-  | Some m ->
-    let flen = Bigarray.Array1.dim m in
-    let pos = ref r.Reader.data_start in
-    Array.iteri
-      (fun k info ->
-        if !pos <> info.c_offset then
-          err path "corrupt chunk %d (offset mismatch)" k;
-        if !pos + 21 > flen then err path "truncated file";
-        if Bigarray.Array1.unsafe_get m !pos <> 'C' then
-          err path "corrupt chunk %d" k;
-        let hd = bdec m ~pos:(!pos + 1) ~len:20 ~path ~what:"file" in
-        let clen =
-          let b0 = bget_byte hd in
-          let b1 = bget_byte hd in
-          let b2 = bget_byte hd in
-          let b3 = bget_byte hd in
-          b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (b3 lsl 24)
-        in
-        let stored = bget_raw hd 16 in
-        if stored <> info.c_md5 then
-          err path "corrupt chunk %d (index digest mismatch)" k;
-        let poff = !pos + 21 in
-        if poff + clen > flen then err path "truncated file";
-        (* Integrity still hashes the payload through the channel: the
-           stdlib [Digest] cannot hash a bigarray view. *)
-        seek_in ic poff;
-        if Digest.channel ic clen <> stored then
-          err path "corrupt chunk %d (digest mismatch)" k;
-        on_chunk k;
-        let nrefs = decode_chunk_map m k info ~pos:poff ~clen in
-        pos := poff + clen;
-        Nvsc_obs.Metrics.Counter.incr m_replay_chunks;
-        Nvsc_obs.Metrics.Counter.add m_replay_refs nrefs)
-      r.Reader.index;
-    if !pos <> r.Reader.trailer_offset then
-      err path "trailing garbage between chunks and trailer")
+  seek_in ic r.Reader.data_start;
+  Array.iteri
+    (fun k info ->
+      if pos_in ic <> info.c_offset then
+        err path "corrupt chunk %d (offset mismatch)" k;
+      if really_read ic path 1 <> "C" then err path "corrupt chunk %d" k;
+      (* No digest covers the length: it must fill the chunk's span
+         exactly before a byte of payload is read. *)
+      let clen = read_u32le ic path in
+      let expected =
+        chunk_end index ~trailer_offset:r.Reader.trailer_offset k
+        - info.c_offset - 21
+      in
+      if clen <> expected then
+        err path "corrupt chunk %d (length %d, span holds %d)" k clen expected;
+      let stored = really_read ic path 16 in
+      if stored <> info.c_md5 then
+        err path "corrupt chunk %d (index digest mismatch)" k;
+      (try really_input ic payload 0 clen
+       with End_of_file -> err path "truncated file");
+      if Digest.subbytes payload 0 clen <> stored then
+        err path "corrupt chunk %d (digest mismatch)" k;
+      on_chunk k;
+      let nrefs = decode_chunk k info ~clen in
+      Nvsc_obs.Metrics.Counter.incr m_replay_chunks;
+      Nvsc_obs.Metrics.Counter.add m_replay_refs nrefs)
+    index;
+  if pos_in ic <> r.Reader.trailer_offset then
+    err path "trailing garbage between chunks and trailer"

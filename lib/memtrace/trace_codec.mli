@@ -147,11 +147,6 @@ module Writer : sig
       {!Reader.open_}. *)
 end
 
-type io_mode =
-  | Auto  (** mmap the file when the platform allows it, else buffered *)
-  | Mmap  (** require the mmap path; {!Error} if mapping fails *)
-  | Buffered  (** channel reads into per-chunk payload strings *)
-
 (** Seekable reader.  {!Reader.open_} reads only the fixed header and the
     trailer (meta, final object tables, chunk index, digests) and verifies
     the whole-trace digest; the chunks stream on demand through
@@ -159,23 +154,16 @@ type io_mode =
 module Reader : sig
   type t
 
-  val open_ : ?mode:io_mode -> string -> t
-  (** Raises {!Error} on a foreign or damaged file.  [mode] (default
-      {!Auto}) selects how {!stream} reads chunk payloads: under the mmap
-      path tokens decode in place from a read-only [Unix.map_file] view of
-      the trace — no payload copies, no channel buffering on the token
-      path — while chunk digests are still verified byte for byte.  Both
-      paths produce identical callbacks on identical files. *)
-
-  val mmapped : t -> bool
-  (** Whether chunk decoding will go through the mmap view. *)
+  val open_ : string -> t
+  (** Raises {!Error} on a foreign or damaged file, including a chunk
+      index whose offsets do not rise by at least one chunk frame each or
+      whose reference counts exceed their chunks' byte spans. *)
 
   val meta : t -> meta
 
   val version : t -> int
   (** The wire version declared in the file header (1 or 2). *)
 
-  val chunk_capacity : t -> int
   val refs : t -> int
   val reads : t -> int
   val writes : t -> int
@@ -204,7 +192,10 @@ val stream :
   unit ->
   unit
 (** Decode the trace in program order, one chunk at a time, verifying each
-    chunk's digest.  References are decoded into one reusable
+    chunk's digest.  Every chunk's payload is read into one reusable
+    buffer sized by the largest chunk span in the index (bytes the file
+    actually holds), after checking that the chunk header's length fills
+    its span exactly.  References are decoded into one reusable
     {!Sink.Batch.t} (plus a parallel attribution array) delivered in slices
     that never span a phase/instruction/persist token — so peak live memory
     is bounded by the chunk capacity, not the trace length.  Consumers must

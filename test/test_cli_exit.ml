@@ -18,8 +18,10 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Spawn the binary with stdout/stderr captured; returns
-   (exit code, stdout, stderr). *)
+(* Spawn the binary with stdout/stderr captured, under a 2 GiB
+   address-space cap so that an allocation sized from a count a file
+   merely claims fails as an uncaught Out_of_memory (exit 125) even on a
+   host that overcommits memory; returns (exit code, stdout, stderr). *)
 let run_nvscav args =
   let exe = Lazy.force nvscav in
   let out_f = Filename.temp_file "nvscav-out" ".txt" in
@@ -33,8 +35,10 @@ let run_nvscav args =
       let fd_err = Unix.openfile err_f [ O_WRONLY; O_TRUNC ] 0o600 in
       let fd_in = Unix.openfile "/dev/null" [ O_RDONLY ] 0 in
       let pid =
-        Unix.create_process exe
-          (Array.of_list (exe :: args))
+        Unix.create_process "/bin/sh"
+          (Array.of_list
+             ("/bin/sh" :: "-c" :: {|ulimit -v 2097152; exec "$0" "$@"|}
+             :: exe :: args))
           fd_in fd_out fd_err
       in
       Unix.close fd_in;
@@ -77,9 +81,15 @@ let table =
 
 let test_exit_codes () =
   let hostile = Filename.temp_file "nvsc-hostile" ".nvt" in
-  Fun.protect ~finally:(fun () -> try Sys.remove hostile with Sys_error _ -> ())
+  let hostile_len = Filename.temp_file "nvsc-hostile-len" ".nvt" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ hostile; hostile_len ])
   @@ fun () ->
   Test_trace_codec.(write_file hostile (hostile_chunk_refs_trace ()));
+  Test_trace_codec.(write_file hostile_len (hostile_chunk_length_trace ()));
   List.iter
     (fun (name, args, expected) ->
       let code, out, err = run_nvscav args in
@@ -95,7 +105,11 @@ let test_exit_codes () =
           (name ^ ": usage error prints nothing on stdout")
           "" out
       end)
-    (table @ [ ("replay hostile chunk count", [ "replay"; hostile ], 2) ])
+    (table
+    @ [
+        ("replay hostile chunk count", [ "replay"; hostile ], 2);
+        ("replay hostile chunk length", [ "replay"; hostile_len ], 2);
+      ])
 
 let suite =
   [ Alcotest.test_case "exit-code table" `Slow test_exit_codes ]

@@ -561,6 +561,54 @@ let test_disconnect_leaves_server_serving () =
   let reply = request_exn c Protocol.Ping in
   Alcotest.(check int) "still answering pings" 0 reply.Client.cells
 
+(* A trace whose chunk 0 claims 0xFFFFFFF0 payload bytes passes the plan
+   (its header and trailer are intact) and fails in the replay cell: the
+   client gets a [failed] error frame naming the file, and the same daemon
+   then answers a ping and serves a good replay byte-identical to the
+   local binary. *)
+let test_hostile_replay () =
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> remove_tree dir) @@ fun () ->
+  let hostile = Filename.concat dir "hostile.nvt" in
+  Test_trace_codec.(write_file hostile (hostile_chunk_length_trace ()));
+  let good = Filename.concat dir "good.nvt" in
+  ignore
+    (Nvsc_core.Trace_run.record ~scale:0.1 ~iterations:1 ~path:good
+       (Option.get (Nvsc_apps.Apps.find "gtc")));
+  let expected =
+    let code, out, err = Test_cli_exit.run_nvscav [ "replay"; good ] in
+    Alcotest.(check int) ("local replay: " ^ err) 0 code;
+    out
+  in
+  let replay path = Protocol.Replay { path; kind = "run"; tech = "sttram" } in
+  with_server @@ fun ~sock _t ->
+  let fd, reader = raw_connect sock in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  raw_send fd (Json.Lines.encode (Protocol.request_to_json ~id:1 (replay hostile)));
+  let rec until_end () =
+    match raw_read_frame reader with
+    | Protocol.Progress _ -> until_end ()
+    | frame -> frame
+  in
+  (match until_end () with
+  | Protocol.Error_frame e ->
+    Alcotest.(check string) "error code" "failed" e.Protocol.code;
+    Alcotest.(check bool)
+      (Printf.sprintf "%S names the file" e.Protocol.message)
+      true
+      (Test_trace_codec.contains e.Protocol.message hostile)
+  | _ -> Alcotest.fail "expected an error frame for the hostile trace");
+  raw_send fd (Json.Lines.encode (Protocol.request_to_json ~id:2 Protocol.Ping));
+  (match raw_read_frame reader with
+  | Protocol.Done_frame { id; _ } -> Alcotest.(check int) "ping answered" 2 id
+  | _ -> Alcotest.fail "expected the ping's done frame");
+  let c = connect_exn sock in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let out, _ = collect_output c (replay good) in
+  Alcotest.(check string) "client replay is byte-identical to local" expected
+    out
+
 let test_shutdown_request () =
   let dir = temp_dir () in
   let sock = Filename.concat dir "nvscav.sock" in
@@ -604,6 +652,8 @@ let suite =
       `Quick test_malformed_frames;
     Alcotest.test_case "server: disconnect cancels only that client" `Slow
       test_disconnect_leaves_server_serving;
+    Alcotest.test_case "server: hostile trace fails its request only" `Slow
+      test_hostile_replay;
     Alcotest.test_case "server: shutdown request stops the daemon" `Quick
       test_shutdown_request;
   ]

@@ -24,10 +24,16 @@ let to_string f =
   Format.pp_print_flush fmt ();
   Buffer.contents buf
 
-let contains s sub =
+let find_sub s sub =
   let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  let rec go i =
+    if i + m > n then None
+    else if String.sub s i m = sub then Some i
+    else go (i + 1)
+  in
   go 0
+
+let contains s sub = find_sub s sub <> None
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -194,7 +200,7 @@ let gen_events =
     in
     list_size (int_bound 400) gen_event)
 
-let roundtrip_ok ~chunk_capacity ~mode events =
+let roundtrip_ok ~chunk_capacity events =
   with_tmp @@ fun path ->
   let w = Trace_codec.Writer.create ~chunk_capacity ~path ~meta:(meta ()) () in
   List.iter
@@ -214,7 +220,7 @@ let roundtrip_ok ~chunk_capacity ~mode events =
       (List.filter (function Ref (_, _, Access.Write, _) -> true | _ -> false)
          events)
   in
-  let r = Trace_codec.Reader.open_ ~mode path in
+  let r = Trace_codec.Reader.open_ path in
   Fun.protect ~finally:(fun () -> Trace_codec.Reader.close r) @@ fun () ->
   let got = ref [] in
   Trace_codec.stream r
@@ -243,11 +249,7 @@ let codec_roundtrip =
     ~name:"codec round-trips any event stream at chunk capacities 1/7/65536"
     ~count:30 (QCheck.make gen_events) (fun events ->
       List.for_all
-        (fun chunk_capacity ->
-          (* both chunk I/O paths must decode every stream identically *)
-          List.for_all
-            (fun mode -> roundtrip_ok ~chunk_capacity ~mode events)
-            [ Trace_codec.Buffered; Trace_codec.Mmap ])
+        (fun chunk_capacity -> roundtrip_ok ~chunk_capacity events)
         [ 1; 7; 65536 ])
 
 let test_empty_trace () =
@@ -319,6 +321,19 @@ let flip s i =
   Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xFF));
   Bytes.to_string b
 
+(* [s] with chunk 0's u32 payload length set to [n]; no digest covers
+   the length field. *)
+let set_chunk0_length s n =
+  let b = Bytes.of_string s in
+  Bytes.set_int32_le b (14 + u32le s 10 + 1) (Int32.of_int n);
+  Bytes.to_string b
+
+(* Open [path] and stream every chunk with no consumer. *)
+let drain path =
+  let r = Trace_codec.Reader.open_ path in
+  Fun.protect ~finally:(fun () -> Trace_codec.Reader.close r) @@ fun () ->
+  Trace_codec.stream r ~on_refs:(fun _ ~obj_ids:_ ~first:_ ~n:_ -> ()) ()
+
 let expect_error ~substr f =
   match f () with
   | _ -> Alcotest.fail ("expected Trace_codec.Error with " ^ substr)
@@ -355,6 +370,10 @@ let test_rejects_damage () =
   write_file bad (flip good (trailer_off + 1 + 4 + 16 + 1));
   expect_error ~substr:"corrupt trailer" (fun () ->
       Trace_codec.Reader.open_ bad);
+  (* a chunk length far beyond the file opens fine (no digest covers it)
+     but is rejected against the chunk's span before anything is read *)
+  write_file bad (set_chunk0_length good 0xFFFF_FFF0);
+  expect_error ~substr:"corrupt chunk 0 (length" (fun () -> drain bad);
   (* a flipped chunk byte opens fine (the trailer is intact) but fails the
      per-chunk digest during streaming *)
   let hlen = u32le good 10 in
@@ -371,65 +390,6 @@ let test_rejects_damage () =
       Trace_codec.stream r
         ~on_refs:(fun _ ~obj_ids:_ ~first:_ ~n:_ -> ())
         ())
-
-(* --- mmap reader ---------------------------------------------------------- *)
-
-let stream_events ~mode path =
-  let r = Trace_codec.Reader.open_ ~mode path in
-  Fun.protect ~finally:(fun () -> Trace_codec.Reader.close r) @@ fun () ->
-  let got = ref [] in
-  Trace_codec.stream r
-    ~on_phase:(fun p -> got := Phase p :: !got)
-    ~on_instr:(fun n -> got := Instr n :: !got)
-    ~on_persist:(fun p -> got := P p :: !got)
-    ~on_refs:(fun batch ~obj_ids ~first ~n ->
-      for i = first to first + n - 1 do
-        got :=
-          Ref
-            ( Sink.Batch.addr batch i,
-              Sink.Batch.size batch i,
-              Sink.Batch.op batch i,
-              obj_ids.(i) )
-          :: !got
-      done)
-    ();
-  (Trace_codec.Reader.mmapped r, List.rev !got)
-
-let test_mmap_reader_modes () =
-  with_tmp @@ fun path ->
-  let w =
-    Trace_codec.Writer.create ~chunk_capacity:8 ~path ~meta:(meta ()) ()
-  in
-  Trace_codec.Writer.add_phase w (Mem_object.Main 1);
-  for i = 0 to 99 do
-    if i mod 17 = 0 then Trace_codec.Writer.add_instr w (i + 1);
-    if i = 40 then
-      Trace_codec.Writer.add_persist w
-        (Persist.Epoch_begin { label = "mm"; checkpoint = false });
-    Trace_codec.Writer.add_ref w ~addr:(i * 64) ~size:8
-      ~op:(if i land 1 = 0 then Access.Read else Access.Write)
-      ~obj_id:(i mod 3)
-  done;
-  ignore (Trace_codec.Writer.finish w ());
-  let mm_b, ev_b = stream_events ~mode:Trace_codec.Buffered path in
-  let mm_m, ev_m = stream_events ~mode:Trace_codec.Mmap path in
-  let mm_a, ev_a = stream_events ~mode:Trace_codec.Auto path in
-  Alcotest.(check bool) "buffered is not mapped" false mm_b;
-  Alcotest.(check bool) "mmap is mapped" true mm_m;
-  Alcotest.(check bool) "auto maps on this platform" true mm_a;
-  Alcotest.(check int) "events decoded" 108 (List.length ev_b);
-  Alcotest.(check bool) "mmap decodes identically" true (ev_m = ev_b);
-  Alcotest.(check bool) "auto decodes identically" true (ev_a = ev_b);
-  (* a flipped chunk byte fails the per-chunk digest on both paths *)
-  let good = read_file path in
-  with_tmp @@ fun bad ->
-  let hlen = u32le good 10 in
-  write_file bad (flip good (14 + hlen + 1 + 4 + 16 + 3));
-  List.iter
-    (fun mode ->
-      expect_error ~substr:"corrupt chunk" (fun () ->
-          ignore (stream_events ~mode bad)))
-    [ Trace_codec.Buffered; Trace_codec.Mmap ]
 
 (* --- version compatibility ------------------------------------------------ *)
 
@@ -612,7 +572,6 @@ let test_golden_fixture () =
     "pinned digest" golden_digest (Trace_codec.Reader.digest r);
   let m = Trace_codec.Reader.meta r in
   Alcotest.(check string) "app" "golden-mini" m.Trace_codec.app;
-  Alcotest.(check int) "chunk capacity" 4 (Trace_codec.Reader.chunk_capacity r);
   (* decode every token in file order *)
   let events = ref [] in
   let push e = events := e :: !events in
@@ -648,9 +607,8 @@ let test_golden_fixture () =
   in
   with_tmp @@ fun out ->
   let w =
-    Trace_codec.Writer.create
-      ~chunk_capacity:(Trace_codec.Reader.chunk_capacity r)
-      ~resolve ~path:out ~meta:m ()
+    (* gen_mini.ml's chunk capacity: the header bytes must match too *)
+    Trace_codec.Writer.create ~chunk_capacity:4 ~resolve ~path:out ~meta:m ()
   in
   List.iter
     (function
@@ -714,65 +672,122 @@ let hostile_chunk_refs_trace () =
 let test_rejects_hostile_chunk_count () =
   with_tmp @@ fun path ->
   write_file path (hostile_chunk_refs_trace ());
-  List.iter
-    (fun mode ->
-      expect_error ~substr:"claims 1099511627776 refs" (fun () ->
-          Trace_codec.Reader.open_ ~mode path))
-    [ Trace_codec.Buffered; Trace_codec.Mmap ]
+  expect_error ~substr:"claims 1099511627776 refs" (fun () ->
+      Trace_codec.Reader.open_ path)
+
+(* The golden fixture with chunk 0's length claiming 0xFFFFFFF0 bytes,
+   which no digest covers: the reader must reject it against the chunk's
+   span rather than size a buffer from it. *)
+let hostile_chunk_length_trace () =
+  set_chunk0_length (read_file (golden_path ())) 0xFFFF_FFF0
+
+(* Offset and payload length of each chunk of the well-formed trace [s]. *)
+let chunk_frames s =
+  let toff = u64le s (String.length s - 16) in
+  let rec go pos acc =
+    if pos >= toff then List.rev acc
+    else
+      let clen = u32le s (pos + 1) in
+      go (pos + 21 + clen) ((pos, clen) :: acc)
+  in
+  go (14 + u32le s 10) []
+
+(* Position in the well-formed trace [s] of the index entry's MD5 for the
+   chunk at [pos]; the entry's count varint ends just before it. *)
+let index_md5_pos s pos =
+  let toff = u64le s (String.length s - 16) in
+  let trailer = String.sub s (toff + 21) (u32le s (toff + 1)) in
+  toff + 21 + Option.get (find_sub trailer (String.sub s (pos + 5) 16))
+
+(* Recompute in place every digest of [b], a copy of the well-formed
+   trace [original] with some bytes changed, as a writer would have
+   sealed the changed bytes in the original layout: each chunk's MD5 (in
+   its frame and its index entry), the whole-trace digest and the
+   trailer MD5. *)
+let reseal ~original:s b =
+  let hlen = u32le s 10 in
+  let toff = u64le s (String.length s - 16) in
+  let tpay = toff + 21 in
+  let tlen = u32le s (toff + 1) in
+  let md5s =
+    List.map
+      (fun (pos, clen) ->
+        let md5 = Digest.subbytes b (pos + 21) clen in
+        Bytes.blit_string md5 0 b (pos + 5) 16;
+        Bytes.blit_string md5 0 b (index_md5_pos s pos) 16;
+        md5)
+      (chunk_frames s)
+  in
+  let digest =
+    Digest.string (String.concat "" (Digest.subbytes b 14 hlen :: md5s))
+  in
+  Bytes.blit_string digest 0 b (tpay + tlen - 16) 16;
+  Bytes.blit_string (Digest.subbytes b tpay tlen) 0 b (toff + 5) 16
 
 (* The golden fixture with both chunks rewritten to claim one reference
    (the count at the head of each chunk payload and its index entry),
-   every MD5 and the whole-trace digest re-sealed.  The batch is then
-   one slot wide while the first [refs] token carries two references:
-   the decoder must reject the token before writing past the batch. *)
+   every digest re-sealed.  The batch is then one slot wide while the
+   first [refs] token carries two references: the decoder must reject
+   the token before writing past the batch. *)
 let understated_chunk_refs_trace () =
   let s = read_file (golden_path ()) in
   let b = Bytes.of_string s in
-  let hlen = u32le s 10 in
-  let toff = u64le s (String.length s - 16) in
-  let tlen = u32le s (toff + 1) in
-  let tpay = toff + 21 in
-  let rec chunks pos acc =
-    if pos >= toff then List.rev acc
-    else begin
-      let clen = u32le s (pos + 1) in
-      let old_md5 = String.sub s (pos + 5) 16 in
-      Bytes.set b (pos + 21) '\001';
-      let md5 = Digest.subbytes b (pos + 21) clen in
-      Bytes.blit_string md5 0 b (pos + 5) 16;
-      chunks (pos + 21 + clen) ((old_md5, md5) :: acc)
-    end
-  in
-  let md5s = chunks (14 + hlen) [] in
-  let trailer = String.sub s tpay tlen in
   List.iter
-    (fun (old_md5, md5) ->
-      let rec find i =
-        if String.sub trailer i 16 = old_md5 then i else find (i + 1)
-      in
-      let p = tpay + find 0 in
-      Bytes.set b (p - 1) '\001';
-      Bytes.blit_string md5 0 b p 16)
-    md5s;
-  let digest =
-    Digest.string
-      (String.concat ""
-         (Digest.string (String.sub s 14 hlen) :: List.map snd md5s))
-  in
-  Bytes.blit_string digest 0 b (tpay + tlen - 16) 16;
-  Bytes.blit_string (Digest.subbytes b tpay tlen) 0 b (toff + 5) 16;
+    (fun (pos, _) ->
+      Bytes.set b (pos + 21) '\001';
+      Bytes.set b (index_md5_pos s pos - 1) '\001')
+    (chunk_frames s);
+  reseal ~original:s b;
   Bytes.to_string b
 
 let test_rejects_understated_chunk_count () =
   with_tmp @@ fun path ->
   write_file path (understated_chunk_refs_trace ());
-  List.iter
-    (fun mode ->
-      let r = Trace_codec.Reader.open_ ~mode path in
-      Fun.protect ~finally:(fun () -> Trace_codec.Reader.close r) @@ fun () ->
-      expect_error ~substr:"chunk 0 (record count mismatch)" (fun () ->
-          Trace_codec.stream r ~on_refs:(fun _ ~obj_ids:_ ~first:_ ~n:_ -> ()) ()))
-    [ Trace_codec.Buffered; Trace_codec.Mmap ]
+  expect_error ~substr:"chunk 0 (record count mismatch)" (fun () -> drain path)
+
+(* --- fuzzing: mutate the golden fixture, then re-seal its digests -------- *)
+
+(* Byte positions worth aiming at beyond the uniform draw: the chunk
+   frames' length fields and the index varints before each chunk MD5,
+   the fields no digest covers. *)
+let fuzz_targets s =
+  List.concat_map
+    (fun (pos, _) ->
+      let md5 = index_md5_pos s pos in
+      List.init 4 (fun i -> pos + 1 + i) @ List.init 6 (fun j -> md5 - 1 - j))
+    (chunk_frames s)
+
+let golden = lazy (read_file (golden_path ()))
+
+let resealed_mutants =
+  let gen =
+    QCheck.Gen.(
+      let* s = return (Lazy.force golden) in
+      let pos =
+        frequency
+          [
+            (2, int_bound (String.length s - 1));
+            (1, oneofl (fuzz_targets s));
+          ]
+      in
+      list_size (int_range 1 4) (pair pos (int_range 1 255)))
+  in
+  QCheck.Test.make
+    ~name:"re-sealed mutants of the golden fixture fail only with Error"
+    ~count:500
+    (QCheck.make ~print:QCheck.Print.(list (pair int int)) gen)
+    (fun flips ->
+      let b = Bytes.of_string (Lazy.force golden) in
+      List.iter
+        (fun (i, x) ->
+          Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor x)))
+        flips;
+      reseal ~original:(Lazy.force golden) b;
+      with_tmp @@ fun path ->
+      write_file path (Bytes.to_string b);
+      (* any exception but Trace_codec.Error escapes and fails the case *)
+      (try drain path with Trace_codec.Error _ -> ());
+      true)
 
 let suite =
   [
@@ -787,8 +802,6 @@ let suite =
       test_streaming_constant_memory;
     Alcotest.test_case "damaged files are rejected by name" `Quick
       test_rejects_damage;
-    Alcotest.test_case "mmap and buffered readers decode identically" `Quick
-      test_mmap_reader_modes;
     Alcotest.test_case "v1 traces write and read back" `Quick
       test_v1_writer_reader_compat;
     Alcotest.test_case "persist token in a v1 trace is corrupt" `Quick
@@ -806,4 +819,5 @@ let suite =
     Alcotest.test_case "refs token beyond its chunk's count is rejected" `Quick
       test_rejects_understated_chunk_count;
     QCheck_alcotest.to_alcotest codec_roundtrip;
+    QCheck_alcotest.to_alcotest resealed_mutants;
   ]
