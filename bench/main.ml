@@ -1,7 +1,9 @@
-(* Benchmark harness: one Bechamel test per paper table/figure (measuring
-   the cost of regenerating it at a reduced configuration), plus ablation
-   benches for the design choices DESIGN.md calls out (object-registry LRU
-   cache and bucket width, address-mapping scheme, trace-buffer batching).
+(* Benchmark harness: the cost of the scavenger pass per application, of
+   the configuration tables (II-IV) and of figure 12's performance runs at
+   a reduced configuration, plus ablation benches for the design choices
+   DESIGN.md calls out (object-registry LRU cache and bucket width,
+   address-mapping scheme, trace-buffer batching).  The whole evaluation
+   is benched end to end by the sweep:experiments-matrix rows.
 
    Run with: dune exec bench/main.exe *)
 
@@ -13,10 +15,6 @@ module Tech = Nvsc_nvram.Technology
 module Access = Nvsc_memtrace.Access
 
 let quick = { E.scale = 0.15; iterations = 3; perf_scale = 0.15 }
-
-(* Shared inputs, computed once: the benches measure regeneration cost, not
-   workload execution cost (benched separately below). *)
-let bundle = lazy (E.collect ~config:quick ())
 
 let null_fmt = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())
 
@@ -48,10 +46,6 @@ let bench_scavenger_armed name =
               (Option.get (Nvsc_apps.Apps.find name)));
          Nvsc_obs.reset ()))
 
-let bench_table1 =
-  Test.make ~name:"table1:app-characteristics"
-    (Staged.stage (fun () -> E.table1 null_fmt (Lazy.force bundle)))
-
 let bench_table2 =
   Test.make ~name:"table2:cache-config"
     (Staged.stage (fun () -> E.table2 null_fmt ()))
@@ -63,30 +57,6 @@ let bench_table3 =
 let bench_table4 =
   Test.make ~name:"table4:memory-latencies"
     (Staged.stage (fun () -> E.table4 null_fmt ()))
-
-let bench_table5 =
-  Test.make ~name:"table5:stack-analysis"
-    (Staged.stage (fun () -> ignore (E.table5_data (Lazy.force bundle))))
-
-let bench_fig2 =
-  Test.make ~name:"fig2:cam-frame-distribution"
-    (Staged.stage (fun () -> ignore (E.fig2_data (Lazy.force bundle))))
-
-let bench_fig3_6 =
-  Test.make ~name:"fig3-6:object-metrics"
-    (Staged.stage (fun () -> ignore (E.fig3_6_data (Lazy.force bundle))))
-
-let bench_fig7 =
-  Test.make ~name:"fig7:usage-cdf"
-    (Staged.stage (fun () -> ignore (E.fig7_data (Lazy.force bundle))))
-
-let bench_fig8_11 =
-  Test.make ~name:"fig8-11:metric-variance"
-    (Staged.stage (fun () -> ignore (E.fig8_11_data (Lazy.force bundle))))
-
-let bench_table6 =
-  Test.make ~name:"table6:power-simulation"
-    (Staged.stage (fun () -> ignore (E.table6_data (Lazy.force bundle))))
 
 let bench_fig12 =
   Test.make ~name:"fig12:latency-sensitivity"
@@ -437,16 +407,9 @@ let tests =
       bench_scavenger "cam";
       bench_scavenger "gtc";
       bench_scavenger "s3d";
-      bench_table1;
       bench_table2;
       bench_table3;
       bench_table4;
-      bench_table5;
-      bench_fig2;
-      bench_fig3_6;
-      bench_fig7;
-      bench_fig8_11;
-      bench_table6;
       bench_fig12;
       bench_cache_filter;
       bench_controller "ddr3" (Tech.get Tech.DDR3);
@@ -490,7 +453,6 @@ let tests =
 
 let () =
   (* force shared fixtures outside the measured region *)
-  ignore (Lazy.force bundle);
   ignore (Lazy.force trace_10k);
   ignore (Lazy.force log_100k);
   ignore (Lazy.force lookup_pattern);

@@ -2,9 +2,11 @@
 
    The evaluation cells (objects, power and perf per application) run
    through the sweep engine on a pool of [--jobs N] worker domains,
-   memoized in [--cache DIR] when given; the output is byte-identical to
-   the legacy serial run for every N and for warm-cache reruns.  Cache
-   statistics (and the [--profile] summary) go to standard error.
+   memoized in [--cache DIR] when given, and are reassembled into the
+   evaluation data every table and figure prints from.  The output is
+   byte-identical for every N and for warm-cache reruns; the quick run is
+   pinned by test/golden/experiments-quick.txt.  Cache statistics (and
+   the [--profile] summary) go to standard error.
 
    The pre-cmdliner interface took bare words ([experiments quick no-ext
    markdown]); those are still accepted as positional arguments. *)

@@ -50,100 +50,43 @@ let with_trace_errors f =
 
 let fmt = Format.std_formatter
 
-(* --- shared report printers --------------------------------------------- *)
+(* --- reports -------------------------------------------------------------- *)
 
-(* One printer per report section, shared between the live commands
-   ([run]/[analyze]/[power]/[place]) and [replay]: both paths render a
-   [Scavenger.result], so a replayed trace produces byte-identical
-   output to the live pipeline by construction. *)
+(* The analyses build Cell payloads from their one result (or their one
+   trace replay) and print them with Cell's report printers, the ones
+   [sweep] and [serve] render with: live, replayed and served reports are
+   byte-identical by construction. *)
 
-let pp_summary_and_objects fmt r =
-  Nvsc_core.Stack_analysis.pp_summary_table fmt
-    [ Nvsc_core.Stack_analysis.summarize r ];
-  Nvsc_core.Object_analysis.pp_report fmt (Nvsc_core.Object_analysis.analyze r)
+module Cell = Nvsc_sweep.Cell
 
-let pp_analyze_report fmt r =
-  pp_summary_and_objects fmt r;
-  Format.fprintf fmt "untouched in main loop: %s of long-term data@."
-    (Nvsc_util.Table.cell_pct
-       (Nvsc_core.Usage_variance.untouched_in_main_fraction r));
-  Nvsc_core.Usage_variance.pp_variance fmt
-    (Nvsc_core.Usage_variance.variance r)
+(* [jobs] ([run --shards]) simulates the memory technologies on up to
+   that many domains; the scavenger pass itself is serial. *)
+let print_run_report ?jobs ~tech r =
+  let objects = Cell.objects_payload_of_result r in
+  let power = Cell.power_payload_of_result ?jobs r in
+  let place = Cell.place_payload_of_result ~tech r in
+  List.iter (Cell.pp_run_section fmt)
+    [ Objects_result objects; Power_result power; Place_result place ]
 
-let pp_trace_line fmt trace =
-  Format.fprintf fmt "main-memory trace: %d accesses (%d reads, %d writes)@."
-    (Nvsc_memtrace.Trace_log.length trace)
-    (Nvsc_memtrace.Trace_log.reads trace)
-    (Nvsc_memtrace.Trace_log.writes trace)
-
-let power_results ?(jobs = 1) trace =
-  Nvsc_dramsim.Memory_system.compare_technologies ~jobs
-    ~techs:Nvsc_nvram.Technology.paper_set
-    ~replay:(fun sink -> Nvsc_memtrace.Trace_log.replay_batch trace sink)
-    ()
-
-let pp_normalized_power fmt results =
-  List.iter
-    (fun ((t : Nvsc_nvram.Technology.t), p) ->
-      Format.fprintf fmt "%-8s normalized power %.3f@." t.name p)
-    (Nvsc_dramsim.Memory_system.normalized_power results)
-
-let pp_power_report fmt trace =
-  pp_trace_line fmt trace;
-  let results = power_results trace in
-  List.iter
-    (fun ((t : Nvsc_nvram.Technology.t), (s : Nvsc_dramsim.Controller.stats)) ->
-      Format.fprintf fmt
-        "%-8s avg power %a  elapsed %a  row-hit %.2f  bandwidth %.2fGB/s@."
-        t.name Nvsc_util.Units.pp_watts s.avg_power_w Nvsc_util.Units.pp_ns
-        s.elapsed_ns s.row_hit_rate s.bandwidth_gbs)
-    results;
-  pp_normalized_power fmt results
-
-let items_of_result (r : Nvsc_core.Scavenger.result) =
-  List.map
-    (fun (m : Nvsc_core.Object_metrics.t) ->
-      {
-        Nvsc_placement.Item.id = m.obj.Nvsc_memtrace.Mem_object.id;
-        name = m.obj.Nvsc_memtrace.Mem_object.name;
-        size_bytes = Nvsc_core.Object_metrics.size_bytes m;
-        reads = m.reads;
-        writes = m.writes;
-        ref_share = m.ref_share;
-      })
-    (Nvsc_core.Scavenger.global_and_heap_metrics r)
-
-let planned_hybrid ~tech (r : Nvsc_core.Scavenger.result) =
-  let hybrid =
-    Nvsc_placement.Hybrid_memory.create
-      ~dram_bytes:(2 * r.footprint_bytes)
-      ~nvram_bytes:(2 * r.footprint_bytes)
-      ~tech
+let tech_arg ~doc =
+  let known =
+    List.map
+      (fun (t : Nvsc_nvram.Technology.t) -> t.name)
+      Nvsc_nvram.Technology.paper_set
   in
-  Nvsc_placement.Static_policy.plan ~hybrid (items_of_result r)
-
-let pp_place_report fmt ~tech r =
-  let hybrid = planned_hybrid ~tech r in
-  List.iter
-    (fun (item : Nvsc_placement.Item.t) ->
-      Format.fprintf fmt "NVRAM <- %a@." Nvsc_placement.Item.pp item)
-    (Nvsc_placement.Hybrid_memory.items_in hybrid
-       Nvsc_placement.Hybrid_memory.Nvram);
-  Nvsc_placement.Hybrid_memory.pp_assessment fmt
-    (Nvsc_placement.Hybrid_memory.assess hybrid);
-  Format.pp_print_newline fmt ()
-
-let pp_run_report ?jobs fmt ~(tech : Nvsc_nvram.Technology.t) r =
-  pp_summary_and_objects fmt r;
-  let trace = Option.get r.Nvsc_core.Scavenger.mem_trace in
-  pp_trace_line fmt trace;
-  pp_normalized_power fmt (power_results ?jobs trace);
-  let hybrid =
-    planned_hybrid ~tech:(Nvsc_nvram.Technology.get tech.tech) r
+  let parse s =
+    match Nvsc_nvram.Technology.of_string s with
+    | Some t -> Ok t
+    | None -> Error (`Msg (Cli.unknown ~what:"technology" ~known s))
   in
-  Nvsc_placement.Hybrid_memory.pp_assessment fmt
-    (Nvsc_placement.Hybrid_memory.assess hybrid);
-  Format.pp_print_newline fmt ()
+  let print fmt (t : Nvsc_nvram.Technology.t) =
+    Format.pp_print_string fmt (String.lowercase_ascii t.name)
+  in
+  Arg.(
+    value
+    & opt (conv ~docv:"TECH" (parse, print))
+        (Nvsc_nvram.Technology.get Nvsc_nvram.Technology.STTRAM)
+    & info [ "tech" ] ~docv:"TECH" ~doc)
 
 (* --- list -------------------------------------------------------------- *)
 
@@ -177,8 +120,11 @@ let analyze_cmd =
           ?trace_out:(Cli.profile_trace_out profile)
           ~enabled:(Cli.profile_enabled profile)
         @@ fun () ->
-        pp_analyze_report fmt
-          (Nvsc_core.Scavenger.run (scavenger_config ~scale ~iterations) app))
+        Cell.pp_payload fmt
+          (Objects_result
+             (Cell.objects_payload_of_result
+                (Nvsc_core.Scavenger.run (scavenger_config ~scale ~iterations)
+                   app))))
   in
   let info =
     Cmd.info "analyze"
@@ -283,19 +229,17 @@ let power_cmd =
   let run () name scale iterations from_file =
     with_trace_errors @@ fun () ->
     with_app name (fun app ->
-        let trace =
-          match from_file with
-          | Some path -> Nvsc_memtrace.Trace_file.load path
-          | None ->
-            let r =
-              Nvsc_core.Scavenger.run
-                Nvsc_core.Scavenger.Config.(
-                  scavenger_config ~scale ~iterations |> with_trace true)
-                app
-            in
-            Option.get r.mem_trace
-        in
-        pp_power_report fmt trace)
+        Cell.pp_payload fmt
+          (Power_result
+             (match from_file with
+             | Some path ->
+               Cell.power_payload_of_trace (Nvsc_memtrace.Trace_file.load path)
+             | None ->
+               Cell.power_payload_of_result
+                 (Nvsc_core.Scavenger.run
+                    Nvsc_core.Scavenger.Config.(
+                      scavenger_config ~scale ~iterations |> with_trace true)
+                    app))))
   in
   let info =
     Cmd.info "power"
@@ -325,7 +269,7 @@ let perf_cmd =
             ~replay:(Nvsc_core.Experiment.perf_replay ~scale app)
             ()
         in
-        Nvsc_cpusim.Sensitivity.pp_points fmt points)
+        Cell.pp_payload fmt (Perf_result (Cell.perf_rows_of_points points)))
   in
   let info =
     Cmd.info "perf"
@@ -338,17 +282,13 @@ let perf_cmd =
 (* --- place ------------------------------------------------------------- *)
 
 let place_cmd =
-  let tech_arg =
-    let doc = "NVRAM technology for the hybrid's NVRAM half." in
-    Arg.(value & opt string "sttram" & info [ "tech" ] ~docv:"TECH" ~doc)
-  in
-  let run () name scale iterations tech_name =
-    match Nvsc_nvram.Technology.of_string tech_name with
-    | None -> `Error (false, Printf.sprintf "unknown technology %S" tech_name)
-    | Some tech ->
-      with_app name (fun app ->
-          pp_place_report fmt ~tech
-            (Nvsc_core.Scavenger.run (scavenger_config ~scale ~iterations) app))
+  let run () name scale iterations tech =
+    with_app name (fun app ->
+        Cell.pp_payload fmt
+          (Place_result
+             (Cell.place_payload_of_result ~tech
+                (Nvsc_core.Scavenger.run (scavenger_config ~scale ~iterations)
+                   app))))
   in
   let info =
     Cmd.info "place"
@@ -359,7 +299,7 @@ let place_cmd =
     Term.(
       ret
         (const run $ logs_term $ app_arg $ scale_arg $ iterations_arg
-       $ tech_arg))
+       $ tech_arg ~doc:"NVRAM technology for the hybrid's NVRAM half."))
 
 (* --- endurance ---------------------------------------------------------- *)
 
@@ -436,18 +376,10 @@ let sample_cmd =
 (* --- hybrid -------------------------------------------------------------- *)
 
 let hybrid_cmd =
-  let tech_arg =
-    Arg.(value & opt string "sttram"
-           & info [ "tech" ] ~docv:"TECH" ~doc:"NVRAM half's technology.")
-  in
-  let run () name scale iterations tech_name =
-    match Nvsc_nvram.Technology.of_string tech_name with
-    | None -> `Error (false, Printf.sprintf "unknown technology %S" tech_name)
-    | Some tech ->
-      with_app name (fun app ->
-          Nvsc_core.Extensions.pp_hybrid_simulation fmt
-            (Nvsc_core.Extensions.hybrid_simulation ~scale ~iterations ~tech
-               app))
+  let run () name scale iterations tech =
+    with_app name (fun app ->
+        Nvsc_core.Extensions.pp_hybrid_simulation fmt
+          (Nvsc_core.Extensions.hybrid_simulation ~scale ~iterations ~tech app))
   in
   let info =
     Cmd.info "hybrid"
@@ -459,7 +391,7 @@ let hybrid_cmd =
     Term.(
       ret
         (const run $ logs_term $ app_arg $ scale_arg $ iterations_arg
-       $ tech_arg))
+       $ tech_arg ~doc:"NVRAM half's technology."))
 
 (* --- fine ---------------------------------------------------------------- *)
 
@@ -749,34 +681,17 @@ let checkpoint_cmd =
    [--profile=FILE] here yields a trace covering scavenger, trace_gen,
    cachesim, dramsim and placement spans. *)
 let run_cmd =
-  let tech_arg =
-    let doc = "NVRAM technology for the hybrid's NVRAM half." in
-    Arg.(value & opt string "sttram" & info [ "tech" ] ~docv:"TECH" ~doc)
-  in
-  let run () name scale iterations shards tech_name profile =
-    match Nvsc_nvram.Technology.of_string tech_name with
-    | None ->
-      `Error
-        ( false,
-          Cli.unknown ~what:"technology"
-            ~known:
-              (List.map
-                 (fun (t : Nvsc_nvram.Technology.t) -> t.name)
-                 Nvsc_nvram.Technology.paper_set)
-            tech_name )
-    | Some tech ->
-      with_app name (fun app ->
-          Nvsc_obs.with_profiling
-            ?trace_out:(Cli.profile_trace_out profile)
-            ~enabled:(Cli.profile_enabled profile)
-          @@ fun () ->
-          (* --shards N simulates the technologies on up to N domains;
-             the scavenger pass itself is serial *)
-          pp_run_report ~jobs:shards fmt ~tech
-            (Nvsc_core.Scavenger.run
-               Nvsc_core.Scavenger.Config.(
-                 scavenger_config ~scale ~iterations |> with_trace true)
-               app))
+  let run () name scale iterations shards tech profile =
+    with_app name (fun app ->
+        Nvsc_obs.with_profiling
+          ?trace_out:(Cli.profile_trace_out profile)
+          ~enabled:(Cli.profile_enabled profile)
+        @@ fun () ->
+        print_run_report ~jobs:shards ~tech
+          (Nvsc_core.Scavenger.run
+             Nvsc_core.Scavenger.Config.(
+               scavenger_config ~scale ~iterations |> with_trace true)
+             app))
   in
   let info =
     Cmd.info "run"
@@ -791,7 +706,9 @@ let run_cmd =
     Term.(
       ret
         (const run $ logs_term $ app_arg $ scale_arg $ iterations_arg
-       $ Cli.shards $ tech_arg $ Cli.profile))
+       $ Cli.shards
+       $ tech_arg ~doc:"NVRAM technology for the hybrid's NVRAM half."
+       $ Cli.profile))
 
 (* --- record -------------------------------------------------------------- *)
 
@@ -867,37 +784,35 @@ let replay_cmd =
             "Analysis to replay: $(b,run) (default), $(b,objects), \
              $(b,power), $(b,perf) or $(b,place).")
   in
-  let tech_arg =
-    Arg.(
-      value & opt string "sttram"
-      & info [ "tech" ] ~docv:"TECH"
-          ~doc:"NVRAM technology for $(b,run)/$(b,place) replays.")
-  in
-  let run () path kind tech_name profile =
-    match Nvsc_nvram.Technology.of_string tech_name with
-    | None -> `Error (false, Printf.sprintf "unknown technology %S" tech_name)
-    | Some tech ->
-      with_trace_errors @@ fun () ->
-      Nvsc_obs.with_profiling
-        ?trace_out:(Cli.profile_trace_out profile)
-        ~enabled:(Cli.profile_enabled profile)
-      @@ fun () ->
-      (match kind with
-      | `Run ->
-        pp_run_report fmt ~tech (Nvsc_core.Trace_run.replay path)
-      | `Objects ->
-        pp_analyze_report fmt (Nvsc_core.Trace_run.replay path)
-      | `Power ->
-        let r = Nvsc_core.Trace_run.replay path in
-        pp_power_report fmt (Option.get r.Nvsc_core.Scavenger.mem_trace)
-      | `Perf ->
-        Nvsc_cpusim.Sensitivity.pp_points fmt
-          (Nvsc_cpusim.Sensitivity.run
-             ~replay:(Nvsc_core.Trace_run.perf_replay path)
-             ())
-      | `Place ->
-        pp_place_report fmt ~tech (Nvsc_core.Trace_run.replay path));
-      `Ok ()
+  let run () path kind tech profile =
+    with_trace_errors @@ fun () ->
+    Nvsc_obs.with_profiling
+      ?trace_out:(Cli.profile_trace_out profile)
+      ~enabled:(Cli.profile_enabled profile)
+    @@ fun () ->
+    (match kind with
+    | `Run -> print_run_report ~tech (Nvsc_core.Trace_run.replay path)
+    | `Objects ->
+      Cell.pp_payload fmt
+        (Objects_result
+           (Cell.objects_payload_of_result (Nvsc_core.Trace_run.replay path)))
+    | `Power ->
+      Cell.pp_payload fmt
+        (Power_result
+           (Cell.power_payload_of_result (Nvsc_core.Trace_run.replay path)))
+    | `Perf ->
+      Cell.pp_payload fmt
+        (Perf_result
+           (Cell.perf_rows_of_points
+              (Nvsc_cpusim.Sensitivity.run
+                 ~replay:(Nvsc_core.Trace_run.perf_replay path)
+                 ())))
+    | `Place ->
+      Cell.pp_payload fmt
+        (Place_result
+           (Cell.place_payload_of_result ~tech
+              (Nvsc_core.Trace_run.replay path))));
+    `Ok ()
   in
   let info =
     Cmd.info "replay"
@@ -913,7 +828,9 @@ let replay_cmd =
   Cmd.v info
     Term.(
       ret
-        (const run $ logs_term $ trace_arg $ kind_arg $ tech_arg $ Cli.profile))
+        (const run $ logs_term $ trace_arg $ kind_arg
+       $ tech_arg ~doc:"NVRAM technology for $(b,run)/$(b,place) replays."
+       $ Cli.profile))
 
 (* --- crashsim ------------------------------------------------------------- *)
 

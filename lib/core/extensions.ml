@@ -77,19 +77,6 @@ type hybrid_design = {
   latency_advantage : float;
 }
 
-let items_of_result (r : Scavenger.result) =
-  List.map
-    (fun (m : Object_metrics.t) ->
-      {
-        Item.id = m.obj.Mem_object.id;
-        name = m.obj.Mem_object.name;
-        size_bytes = Object_metrics.size_bytes m;
-        reads = m.reads;
-        writes = m.writes;
-        ref_share = m.ref_share;
-      })
-    (Scavenger.global_and_heap_metrics r)
-
 let hybrid_design ?(scale = 0.5) ?(iterations = 5)
     ?(tech = Technology.get Technology.PCRAM) (module A : Nvsc_apps.Workload.APP)
     =
@@ -115,7 +102,9 @@ let hybrid_design ?(scale = 0.5) ?(iterations = 5)
     HM.create ~dram_bytes:dram_budget
       ~nvram_bytes:(4 * r.Scavenger.footprint_bytes) ~tech
   in
-  let hybrid = Nvsc_placement.Static_policy.plan ~hybrid (items_of_result r) in
+  let hybrid =
+    Nvsc_placement.Static_policy.plan ~hybrid (Scavenger.placement_items r)
+  in
   let assessment = HM.assess hybrid in
   let horizontal_latency =
     let a = assessment in
@@ -203,7 +192,7 @@ let placement_summary ?(scale = 0.5) ?(iterations = 5)
       (module A)
   in
   let metrics = Scavenger.global_and_heap_metrics r in
-  let items = items_of_result r in
+  let items = Scavenger.placement_items r in
   let capacity = 2 * r.Scavenger.footprint_bytes in
   let static =
     Nvsc_placement.Static_policy.plan
@@ -277,7 +266,7 @@ let fine_grained_placement ?(scale = 0.5) ?(iterations = 5)
         default |> with_scale scale |> with_iterations iterations)
       (module A)
   in
-  let items = items_of_result profile in
+  let items = Scavenger.placement_items profile in
   let total_bytes =
     List.fold_left (fun acc (i : Item.t) -> acc + i.size_bytes) 0 items
   in
@@ -381,7 +370,7 @@ let hybrid_simulation ?(scale = 0.5) ?(iterations = 5)
   in
   let trace = Option.get r.Scavenger.mem_trace in
   let metrics = Scavenger.global_and_heap_metrics r in
-  let items = items_of_result r in
+  let items = Scavenger.placement_items r in
   let capacity = 2 * r.Scavenger.footprint_bytes in
   let hybrid =
     Nvsc_placement.Static_policy.plan

@@ -206,3 +206,16 @@ let global_and_heap_metrics result =
   List.filter
     (fun (m : Object_metrics.t) -> m.obj.Mem_object.kind <> Layout.Stack)
     result.metrics
+
+let placement_items result =
+  List.map
+    (fun (m : Object_metrics.t) ->
+      {
+        Nvsc_placement.Item.id = m.obj.Mem_object.id;
+        name = m.obj.Mem_object.name;
+        size_bytes = Object_metrics.size_bytes m;
+        reads = m.reads;
+        writes = m.writes;
+        ref_share = m.ref_share;
+      })
+    (global_and_heap_metrics result)

@@ -101,3 +101,7 @@ val stack_metrics : result -> Object_metrics.t list
 val global_metrics : result -> Object_metrics.t list
 val heap_metrics : result -> Object_metrics.t list
 val global_and_heap_metrics : result -> Object_metrics.t list
+
+val placement_items : result -> Nvsc_placement.Item.t list
+(** The global and heap objects as placement candidates: the input of
+    every hybrid DRAM/NVRAM placement plan.  Stack data is not placed. *)

@@ -44,11 +44,3 @@ let run ?params ?(techs = Technology.paper_set) ?(asymmetric = false) ~replay
         report = r;
       })
     raw
-
-let pp_points fmt points =
-  List.iter
-    (fun p ->
-      Format.fprintf fmt "%-8s %6.0fns  runtime %a  normalized %.3f@."
-        p.tech.Technology.name p.latency_ns Nvsc_util.Units.pp_ns p.runtime_ns
-        p.normalized_runtime)
-    points

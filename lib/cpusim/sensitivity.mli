@@ -32,5 +32,3 @@ val run :
     posted at its write latency through the write buffer (see
     {!Perf_model.create}), quantifying how conservative the paper's
     lower bound is. *)
-
-val pp_points : Format.formatter -> point list -> unit

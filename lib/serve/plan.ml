@@ -5,13 +5,13 @@ module Technology = Nvsc_nvram.Technology
 type t = {
   specs : Cell.spec array;
   trace : string option;
-  sections : (Format.formatter -> Cell.payload -> unit) array;
+  render : Format.formatter -> Cell.spec -> Cell.payload -> unit;
 }
 
 let chunk plan i payload =
   let buf = Buffer.create 1024 in
   let fmt = Format.formatter_of_buffer buf in
-  plan.sections.(i) fmt payload;
+  plan.render fmt plan.specs.(i) payload;
   Format.pp_print_flush fmt ();
   Buffer.contents buf
 
@@ -47,58 +47,11 @@ let check_config ~scale ~iterations =
     bad ~field:"iterations" "iterations must be at least 1"
   else Ok ()
 
-(* --- payload projections ------------------------------------------------ *)
+(* The local subcommands print through the same two report printers, so
+   the streamed chunks concatenate to byte-identical output. *)
 
-(* A section printer receiving the wrong payload constructor would be a
-   scheduling bug, not a client error, hence the assertions. *)
-
-let objects = function
-  | Cell.Objects_result o -> o
-  | _ -> invalid_arg "Plan: objects payload expected"
-
-let power = function
-  | Cell.Power_result p -> p
-  | _ -> invalid_arg "Plan: power payload expected"
-
-let perf = function
-  | Cell.Perf_result rows -> rows
-  | _ -> invalid_arg "Plan: perf payload expected"
-
-let place = function
-  | Cell.Place_result p -> p
-  | _ -> invalid_arg "Plan: place payload expected"
-
-(* Composed exactly as the local subcommands compose their reports, from
-   the same payload section printers, so the streamed chunks concatenate
-   to byte-identical output. *)
-
-let analyze_section fmt p =
-  let o = objects p in
-  Cell.pp_objects_summary fmt o;
-  Cell.pp_objects_usage fmt o
-
-let run_sections =
-  [|
-    (fun fmt p -> Cell.pp_objects_summary fmt (objects p));
-    (fun fmt p ->
-      let pw = power p in
-      Cell.pp_power_trace_line fmt pw;
-      Cell.pp_power_normalized fmt pw);
-    (fun fmt p -> Cell.pp_place_assessment fmt (place p));
-  |]
-
-let power_section fmt p =
-  let pw = power p in
-  Cell.pp_power_trace_line fmt pw;
-  Cell.pp_power_stats fmt pw;
-  Cell.pp_power_normalized fmt pw
-
-let perf_section fmt p = Cell.pp_perf_points fmt (perf p)
-
-let place_section fmt p =
-  let pl = place p in
-  Cell.pp_place_items fmt pl;
-  Cell.pp_place_assessment fmt pl
+let full_report fmt _spec payload = Cell.pp_payload fmt payload
+let run_report fmt _spec payload = Cell.pp_run_section fmt payload
 
 (* --- spec builders ------------------------------------------------------ *)
 
@@ -119,7 +72,7 @@ let analyze ~app ~scale ~iterations =
     {
       specs = [| spec ~app ~scale ~iterations Cell.Objects |];
       trace = None;
-      sections = [| analyze_section |];
+      render = full_report;
     }
 
 let run_specs ?digest ~app ~scale ~iterations tech =
@@ -137,7 +90,7 @@ let run ~app ~scale ~iterations ~tech =
     {
       specs = run_specs ~app ~scale ~iterations tech;
       trace = None;
-      sections = run_sections;
+      render = run_report;
     }
 
 let trace_info path =
@@ -151,24 +104,23 @@ let replay ~path ~kind ~tech =
   let app = meta.Nvsc_memtrace.Trace_codec.app in
   let scale = meta.scale and iterations = meta.iterations in
   let cell k = spec ~digest ~app ~scale ~iterations k in
-  let* specs, sections =
+  let* specs, render =
     match kind with
-    | "run" ->
-      Ok (run_specs ~digest ~app ~scale ~iterations tech, run_sections)
-    | "objects" -> Ok ([| cell Cell.Objects |], [| analyze_section |])
-    | "power" -> Ok ([| cell Cell.Power |], [| power_section |])
-    | "perf" -> Ok ([| cell Cell.Perf |], [| perf_section |])
+    | "run" -> Ok (run_specs ~digest ~app ~scale ~iterations tech, run_report)
+    | "objects" -> Ok ([| cell Cell.Objects |], full_report)
+    | "power" -> Ok ([| cell Cell.Power |], full_report)
+    | "perf" -> Ok ([| cell Cell.Perf |], full_report)
     | "place" ->
       Ok
         ( [| spec ~tech ~digest ~app ~scale ~iterations Cell.Place |],
-          [| place_section |] )
+          full_report )
     | kind ->
       bad ~field:"kind"
         (Nvsc_util.Cli.unknown ~what:"kind"
            ~known:[ "run"; "objects"; "power"; "perf"; "place" ]
            kind)
   in
-  Ok { specs; trace = Some path; sections }
+  Ok { specs; trace = Some path; render }
 
 let map_result f l =
   List.fold_right
@@ -231,13 +183,7 @@ let sweep ~apps ~kinds ~techs ~scale ~iterations ~overrides ~from_trace =
     | None -> specs
     | Some d -> Array.map (fun s -> { s with Cell.trace_digest = Some d }) specs
   in
-  Ok
-    {
-      specs;
-      trace = from_trace;
-      sections =
-        Array.map (fun s fmt payload -> Cell.render fmt s payload) specs;
-    }
+  Ok { specs; trace = from_trace; render = Cell.render }
 
 let of_request = function
   | Protocol.Analyze { app; scale; iterations } -> analyze ~app ~scale ~iterations

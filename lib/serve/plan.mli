@@ -6,18 +6,17 @@
     decomposing every analysis request into cells gives each request
     per-cell parallelism on the shared pool and content-addressed
     memoization for free — a warm [analyze] request is served without
-    running anything.  The section printers come from
-    {!Nvsc_sweep.Cell}, the same printers the local subcommands render
-    with, so the concatenated chunks are byte-identical to local
-    stdout. *)
+    running anything.  Chunks are rendered by {!Nvsc_sweep.Cell}'s report
+    printers, the ones the local subcommands print with, so the
+    concatenated chunks are byte-identical to local stdout. *)
 
 module Cell = Nvsc_sweep.Cell
 
 type t = {
   specs : Cell.spec array;  (** cells, in report order *)
   trace : string option;  (** [.nvt] file feeding trace-fed cells *)
-  sections : (Format.formatter -> Cell.payload -> unit) array;
-      (** one renderer per cell, same indexing as [specs] *)
+  render : Format.formatter -> Cell.spec -> Cell.payload -> unit;
+      (** renders one completed cell's chunk *)
 }
 
 val chunk : t -> int -> Cell.payload -> string

@@ -353,10 +353,11 @@ let objects_payload_of_result (r : Scavenger.result) =
 let execute_objects spec app =
   Objects_result (objects_payload_of_result (Scavenger.run (base_config spec) app))
 
-let power_payload_of_result (r : Scavenger.result) =
-  let trace = Option.get r.mem_trace in
+(* A bare trace carries no run context, so the info, miss-rate and
+   pipeline fields stay zero until [power_payload_of_result] fills them. *)
+let power_payload_of_trace ?jobs trace =
   let results =
-    Nvsc_dramsim.Memory_system.compare_technologies
+    Nvsc_dramsim.Memory_system.compare_technologies ?jobs
       ~techs:Technology.paper_set
       ~replay:(fun sink -> Trace_log.replay_batch trace sink)
       ()
@@ -378,13 +379,37 @@ let power_payload_of_result (r : Scavenger.result) =
       results normalized
   in
   {
-    p_info = info_of_result r;
+    p_info =
+      {
+        description = "";
+        input_description = "";
+        paper_footprint_mb = 0.;
+        footprint_bytes = 0;
+        total_main_refs = 0;
+      };
     trace_length = Trace_log.length trace;
     trace_reads = Trace_log.reads trace;
     trace_writes = Trace_log.writes trace;
+    l1_miss_rate = 0.;
+    l2_miss_rate = 0.;
+    power_rows;
+    p_pipeline =
+      {
+        Nvsc_appkit.Ctx.batch_capacity = 0;
+        refs = 0;
+        batches = 0;
+        capacity_flushes = 0;
+        boundary_flushes = 0;
+        sinks = [];
+      };
+  }
+
+let power_payload_of_result ?jobs (r : Scavenger.result) =
+  {
+    (power_payload_of_trace ?jobs (Option.get r.mem_trace)) with
+    p_info = info_of_result r;
     l1_miss_rate = r.l1_miss_rate;
     l2_miss_rate = r.l2_miss_rate;
-    power_rows;
     p_pipeline = r.pipeline;
   }
 
@@ -414,28 +439,14 @@ let execute_perf spec app =
   in
   Perf_result (perf_rows_of_points points)
 
-let place_payload_of_result spec (r : Scavenger.result) =
-  let tech =
-    Technology.get (Option.value spec.tech ~default:Technology.STTRAM)
-  in
-  let items =
-    List.map
-      (fun (m : Nvsc_core.Object_metrics.t) ->
-        {
-          Nvsc_placement.Item.id = m.obj.Nvsc_memtrace.Mem_object.id;
-          name = m.obj.Nvsc_memtrace.Mem_object.name;
-          size_bytes = Nvsc_core.Object_metrics.size_bytes m;
-          reads = m.reads;
-          writes = m.writes;
-          ref_share = m.ref_share;
-        })
-      (Scavenger.global_and_heap_metrics r)
-  in
+let place_payload_of_result ~(tech : Technology.t) (r : Scavenger.result) =
   let hybrid =
     Nvsc_placement.Hybrid_memory.create ~dram_bytes:(2 * r.footprint_bytes)
       ~nvram_bytes:(2 * r.footprint_bytes) ~tech
   in
-  let hybrid = Nvsc_placement.Static_policy.plan ~hybrid items in
+  let hybrid =
+    Nvsc_placement.Static_policy.plan ~hybrid (Scavenger.placement_items r)
+  in
   {
     place_tech_name = tech.name;
     place_footprint_bytes = r.footprint_bytes;
@@ -445,9 +456,13 @@ let place_payload_of_result spec (r : Scavenger.result) =
     assessment = Nvsc_placement.Hybrid_memory.assess hybrid;
   }
 
+let place_tech spec =
+  Technology.get (Option.value spec.tech ~default:Technology.STTRAM)
+
 let execute_place spec app =
   Place_result
-    (place_payload_of_result spec (Scavenger.run (base_config spec) app))
+    (place_payload_of_result ~tech:(place_tech spec)
+       (Scavenger.run (base_config spec) app))
 
 let m_cells = Nvsc_obs.Metrics.counter "sweep.cells"
 
@@ -478,7 +493,8 @@ let execute_from_trace spec path =
             ()))
   | Place ->
     Place_result
-      (place_payload_of_result spec (Nvsc_core.Trace_run.replay path))
+      (place_payload_of_result ~tech:(place_tech spec)
+         (Nvsc_core.Trace_run.replay path))
 
 let execute ?trace spec =
   Nvsc_obs.Span.with_
@@ -501,11 +517,10 @@ let execute ?trace spec =
 
 (* --- rendering ---------------------------------------------------------- *)
 
-(* Report sections, exposed individually so that the serve daemon can
-   stream exactly the sections the corresponding nvscav subcommand prints
-   (analyze = summary + usage; run = summary, trace line, normalized
-   power, assessment; ...) from decoded payloads, byte-identical to the
-   local printers over a fresh result. *)
+(* Every report any front end prints is composed here, from payloads:
+   [nvscav] renders the payloads it builds over its one result, the serve
+   daemon and the sweep engine render computed or cached ones, so the
+   reports agree byte for byte by construction. *)
 
 let pp_header fmt spec =
   match spec.tech with
@@ -521,23 +536,9 @@ let pp_objects_summary fmt (o : objects_payload) =
   Stack_analysis.pp_summary_table fmt [ o.summary ];
   Object_analysis.pp_report fmt o.report
 
-let pp_objects_usage fmt (o : objects_payload) =
-  Format.fprintf fmt "untouched in main loop: %s of long-term data@."
-    (Table.cell_pct o.untouched_fraction);
-  Usage_variance.pp_variance fmt o.variance
-
 let pp_power_trace_line fmt (p : power_payload) =
   Format.fprintf fmt "main-memory trace: %d accesses (%d reads, %d writes)@."
     p.trace_length p.trace_reads p.trace_writes
-
-let pp_power_stats fmt (p : power_payload) =
-  List.iter
-    (fun r ->
-      Format.fprintf fmt
-        "%-8s avg power %a  elapsed %a  row-hit %.2f  bandwidth %.2fGB/s@."
-        r.tech_name Units.pp_watts r.avg_power_w Units.pp_ns r.elapsed_ns
-        r.row_hit_rate r.bandwidth_gbs)
-    p.power_rows
 
 let pp_power_normalized fmt (p : power_payload) =
   List.iter
@@ -546,35 +547,48 @@ let pp_power_normalized fmt (p : power_payload) =
         r.normalized)
     p.power_rows
 
-let pp_perf_points fmt rows =
-  List.iter
-    (fun r ->
-      Format.fprintf fmt "%-8s %6.0fns  runtime %a  normalized %.3f@."
-        r.perf_tech_name r.latency_ns Units.pp_ns r.runtime_ns
-        r.normalized_runtime)
-    rows
-
-let pp_place_items fmt (p : place_payload) =
-  List.iter
-    (fun (item : Nvsc_placement.Item.t) ->
-      Format.fprintf fmt "NVRAM <- %a@." Nvsc_placement.Item.pp item)
-    p.nvram_items
-
 let pp_place_assessment fmt (p : place_payload) =
   Nvsc_placement.Hybrid_memory.pp_assessment fmt p.assessment;
   Format.pp_print_newline fmt ()
 
-let render fmt spec payload =
-  pp_header fmt spec;
-  match payload with
+let pp_payload fmt = function
   | Objects_result o ->
     pp_objects_summary fmt o;
-    pp_objects_usage fmt o
+    Format.fprintf fmt "untouched in main loop: %s of long-term data@."
+      (Table.cell_pct o.untouched_fraction);
+    Usage_variance.pp_variance fmt o.variance
   | Power_result p ->
     pp_power_trace_line fmt p;
-    pp_power_stats fmt p;
+    List.iter
+      (fun r ->
+        Format.fprintf fmt
+          "%-8s avg power %a  elapsed %a  row-hit %.2f  bandwidth %.2fGB/s@."
+          r.tech_name Units.pp_watts r.avg_power_w Units.pp_ns r.elapsed_ns
+          r.row_hit_rate r.bandwidth_gbs)
+      p.power_rows;
     pp_power_normalized fmt p
-  | Perf_result rows -> pp_perf_points fmt rows
+  | Perf_result rows ->
+    List.iter
+      (fun r ->
+        Format.fprintf fmt "%-8s %6.0fns  runtime %a  normalized %.3f@."
+          r.perf_tech_name r.latency_ns Units.pp_ns r.runtime_ns
+          r.normalized_runtime)
+      rows
   | Place_result p ->
-    pp_place_items fmt p;
+    List.iter
+      (fun (item : Nvsc_placement.Item.t) ->
+        Format.fprintf fmt "NVRAM <- %a@." Nvsc_placement.Item.pp item)
+      p.nvram_items;
     pp_place_assessment fmt p
+
+let pp_run_section fmt = function
+  | Objects_result o -> pp_objects_summary fmt o
+  | Power_result p ->
+    pp_power_trace_line fmt p;
+    pp_power_normalized fmt p
+  | Place_result p -> pp_place_assessment fmt p
+  | Perf_result _ -> invalid_arg "Cell.pp_run_section: run has no perf cell"
+
+let render fmt spec payload =
+  pp_header fmt spec;
+  pp_payload fmt payload

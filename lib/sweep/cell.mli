@@ -122,26 +122,52 @@ val execute : ?trace:string -> spec -> payload
     the file's digest must match ([Invalid_argument] otherwise); a spec
     that pins a digest cannot execute without a trace. *)
 
+(** {1 Payload builders}
+
+    Each builds one payload from a result the caller already holds, with
+    no span of its own, so [nvscav] renders its one run (or its one trace
+    replay) through the same payloads a cell computes. *)
+
+val objects_payload_of_result : Nvsc_core.Scavenger.result -> objects_payload
+
+val power_payload_of_result :
+  ?jobs:int -> Nvsc_core.Scavenger.result -> power_payload
+(** Replays the result's cache-filtered trace (the result must carry one)
+    through every paper technology, on up to [jobs] domains (default 1,
+    at most one per technology); the payload is the same for every
+    [jobs]. *)
+
+val power_payload_of_trace :
+  ?jobs:int -> Nvsc_memtrace.Trace_log.t -> power_payload
+(** As {!power_payload_of_result} for a bare main-memory trace (e.g. a
+    DRAMSim2 file).  A bare trace records no run, so [p_info], the cache
+    miss rates and [p_pipeline] are zero. *)
+
+val perf_rows_of_points : Nvsc_cpusim.Sensitivity.point list -> perf_row list
+
+val place_payload_of_result :
+  tech:Nvsc_nvram.Technology.t -> Nvsc_core.Scavenger.result -> place_payload
+(** Static placement over a hybrid of twice the result's footprint in
+    each half, the NVRAM half in [tech]. *)
+
+(** {1 Reports}
+
+    The only report printers: the [nvscav] subcommands, the sweep engine
+    and the serve daemon all render payloads through these, so their
+    reports are byte-identical by construction.  Each printer starts at
+    column 0 and ends with a newline, so concatenated sections equal one
+    continuous report. *)
+
+val pp_payload : Format.formatter -> payload -> unit
+(** A payload's full report: what [nvscav analyze] (objects), [power],
+    [perf] and [place] print, and [replay --kind] of the same kind. *)
+
+val pp_run_section : Format.formatter -> payload -> unit
+(** The shorter section [nvscav run] prints for each of its objects, power
+    and place payloads: stack summary and object report; trace line and
+    normalized power; placement assessment.  Raises [Invalid_argument] on
+    a perf payload. *)
+
 val render : Format.formatter -> spec -> payload -> unit
-(** The cell's section of the aggregated sweep report (header line plus
-    the same tables the corresponding [nvscav] subcommand prints). *)
-
-(** {1 Report sections}
-
-    {!render}'s constituents, exposed individually so the serve daemon
-    can compose exactly the sections each [nvscav] subcommand prints
-    ([analyze] = summary + usage; [run] = summary, trace line, normalized
-    power, assessment; [power]/[perf]/[place] likewise) from decoded
-    payloads.  Each section starts at column 0 and ends with a newline,
-    so concatenated sections are byte-identical to one continuous
-    render. *)
-
-val pp_header : Format.formatter -> spec -> unit
-val pp_objects_summary : Format.formatter -> objects_payload -> unit
-val pp_objects_usage : Format.formatter -> objects_payload -> unit
-val pp_power_trace_line : Format.formatter -> power_payload -> unit
-val pp_power_stats : Format.formatter -> power_payload -> unit
-val pp_power_normalized : Format.formatter -> power_payload -> unit
-val pp_perf_points : Format.formatter -> perf_row list -> unit
-val pp_place_items : Format.formatter -> place_payload -> unit
-val pp_place_assessment : Format.formatter -> place_payload -> unit
+(** The cell's section of an aggregated sweep report: a header line naming
+    the spec, then {!pp_payload}. *)

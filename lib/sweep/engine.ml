@@ -159,7 +159,8 @@ let experiments_data ~(config : Experiment.config) outcomes =
     cdfs =
       List.filter_map
         (fun (app, (p : Cell.objects_payload)) ->
-          (* the paper omits GTC from figure 7; see Experiment.fig7_data *)
+          (* the paper omits GTC from figure 7: its objects are either
+             touched in every iteration or short-term heap *)
           if app = "gtc" then None else Some (app, p.cdf))
         objects;
     untouched =
@@ -191,7 +192,7 @@ let experiments_data ~(config : Experiment.config) outcomes =
               rows ))
         perfs;
     pipelines =
-      (* the legacy bundle traces its runs, so pipeline counters come from
-         the traced power cells, not the untraced objects cells *)
+      (* pipeline counters come from the traced power cells, so the
+         report's sink table lists the cache-hierarchy sink too *)
       List.map (fun (app, (p : Cell.power_payload)) -> (app, p.p_pipeline)) powers;
   }

@@ -2,52 +2,115 @@
    configuration so data-form coverage is checked without a full-scale run. *)
 
 module E = Nvsc_core.Experiment
+module Scavenger = Nvsc_core.Scavenger
+module Cell = Nvsc_sweep.Cell
+module Engine = Nvsc_sweep.Engine
 module Table = Nvsc_util.Table
 
-let bundle = lazy (E.collect ~config:E.quick_config ())
+(* The evaluation as the experiments pipeline assembles it: one traced
+   scavenger run per paper application and the figure-12 points, turned
+   into objects, power and perf payloads by the cell builders and
+   reassembled by [Engine.experiments_data], the only producer of
+   [Experiment.data]. *)
+type evaluation = {
+  results : Scavenger.result list;
+  fig12 : (string * Nvsc_cpusim.Sensitivity.point list) list Lazy.t;
+  data : E.data Lazy.t;
+}
+
+let evaluation (config : E.config) =
+  let results =
+    List.map
+      (fun app ->
+        Scavenger.run
+          Scavenger.Config.(
+            default |> with_scale config.scale
+            |> with_iterations config.iterations |> with_trace true)
+          app)
+      Nvsc_apps.Apps.all
+  in
+  let fig12 = lazy (E.fig12_data ~config ()) in
+  let outcome app kind payload =
+    {
+      Engine.spec =
+        {
+          Cell.app;
+          kind;
+          scale = config.scale;
+          iterations = config.iterations;
+          tech = None;
+          trace_digest = None;
+        };
+      payload;
+      cached = false;
+    }
+  in
+  let data =
+    lazy
+      (Engine.experiments_data ~config
+         (Array.of_list
+            (List.map
+               (fun (r : Scavenger.result) ->
+                 outcome r.app_name Cell.Objects
+                   (Cell.Objects_result (Cell.objects_payload_of_result r)))
+               results
+            @ List.map
+                (fun (r : Scavenger.result) ->
+                  outcome r.app_name Cell.Power
+                    (Cell.Power_result (Cell.power_payload_of_result r)))
+                results
+            @ List.map
+                (fun (app, points) ->
+                  outcome app Cell.Perf
+                    (Cell.Perf_result (Cell.perf_rows_of_points points)))
+                (Lazy.force fig12))))
+  in
+  { results; fig12; data }
+
+let quick = lazy (evaluation E.quick_config)
+let data () = Lazy.force (Lazy.force quick).data
 
 let contains ~needle haystack =
   let nl = String.length needle and hl = String.length haystack in
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
   go 0
 
-let test_bundle_coverage () =
-  let b = Lazy.force bundle in
-  Alcotest.(check int) "four apps" 4 (List.length b.E.results);
+let test_result_coverage () =
+  let results = (Lazy.force quick).results in
+  Alcotest.(check int) "four apps" 4 (List.length results);
   List.iter
-    (fun (r : Nvsc_core.Scavenger.result) ->
+    (fun (r : Scavenger.result) ->
       Alcotest.(check bool) (r.app_name ^ " has metrics") true
         (r.metrics <> []);
       Alcotest.(check bool) (r.app_name ^ " has trace") true
         (r.mem_trace <> None))
-    b.E.results;
-  Alcotest.(check bool) "lookup works" true
-    ((E.result b "gtc").app_name = "gtc");
-  Alcotest.(check bool) "lookup missing raises" true
-    (try
-       ignore (E.result b "hpl");
-       false
-     with Not_found -> true)
+    results;
+  let named app =
+    List.exists (fun (r : Scavenger.result) -> r.app_name = app) results
+  in
+  Alcotest.(check bool) "results are keyed by app name" true (named "gtc");
+  Alcotest.(check bool) "no result beyond the paper's apps" false
+    (named "hpl")
 
 let test_data_forms () =
-  let b = Lazy.force bundle in
-  Alcotest.(check int) "table5 rows" 4 (List.length (E.table5_data b));
-  Alcotest.(check bool) "fig2 frames" true ((E.fig2_data b).frames <> []);
-  Alcotest.(check int) "fig3-6 reports" 4 (List.length (E.fig3_6_data b));
-  Alcotest.(check int) "fig7 omits gtc" 3 (List.length (E.fig7_data b));
-  Alcotest.(check int) "fig8-11 all apps" 4 (List.length (E.fig8_11_data b));
-  let t6 = E.table6_data b in
-  Alcotest.(check int) "table6 rows" 4 (List.length t6);
+  let d = data () in
+  Alcotest.(check int) "table5 rows" 4 (List.length d.summaries);
+  Alcotest.(check bool) "fig2 frames" true
+    ((Option.get d.cam_distribution).frames <> []);
+  Alcotest.(check int) "fig3-6 reports" 4 (List.length d.reports);
+  Alcotest.(check int) "fig7 omits gtc" 3 (List.length d.cdfs);
+  Alcotest.(check int) "fig8-11 all apps" 4 (List.length d.variances);
+  Alcotest.(check int) "table6 rows" 4 (List.length d.powers);
   List.iter
     (fun (_, powers) ->
       Alcotest.(check int) "four technologies" 4 (List.length powers))
-    t6
+    d.powers
 
 let test_printers_produce_output () =
-  let b = Lazy.force bundle in
+  let d = data () in
   let render f = Format.asprintf "%a" (fun fmt () -> f fmt) () in
   Alcotest.(check bool) "table1" true
-    (contains ~needle:"Table I" (render (fun fmt -> E.table1 fmt b)));
+    (contains ~needle:"Table I" (render (fun fmt -> E.pp_table1_rows fmt d.rows)));
   Alcotest.(check bool) "table2" true
     (contains ~needle:"no-write-allocate" (render (fun fmt -> E.table2 fmt ())));
   Alcotest.(check bool) "table3" true
@@ -55,14 +118,18 @@ let test_printers_produce_output () =
   Alcotest.(check bool) "table4" true
     (contains ~needle:"PCRAM" (render (fun fmt -> E.table4 fmt ())));
   Alcotest.(check bool) "table5" true
-    (contains ~needle:"Stack data analysis" (render (fun fmt -> E.table5 fmt b)));
+    (contains ~needle:"Stack data analysis"
+       (render (fun fmt ->
+            Nvsc_core.Stack_analysis.pp_summary_table fmt d.summaries)));
   Alcotest.(check bool) "fig7 includes plot" true
-    (contains ~needle:"cumulative MB" (render (fun fmt -> E.fig7 fmt b)));
+    (contains ~needle:"cumulative MB"
+       (render (fun fmt -> E.pp_fig7_data fmt d.cdfs)));
   Alcotest.(check bool) "table6 includes bars" true
-    (contains ~needle:"normalized power" (render (fun fmt -> E.table6 fmt b)))
+    (contains ~needle:"normalized power"
+       (render (fun fmt -> E.pp_table6_data fmt d.powers)))
 
 let test_markdown_report () =
-  let md = Nvsc_core.Report.markdown_of_bundle (Lazy.force bundle) in
+  let md = Nvsc_core.Report.markdown_of_data (data ()) in
   List.iter
     (fun needle ->
       Alcotest.(check bool) ("contains " ^ needle) true (contains ~needle md))
@@ -143,7 +210,7 @@ let controller_monotone_prop =
 
 let suite =
   [
-    Alcotest.test_case "bundle coverage" `Slow test_bundle_coverage;
+    Alcotest.test_case "per-app result coverage" `Slow test_result_coverage;
     Alcotest.test_case "data forms" `Slow test_data_forms;
     Alcotest.test_case "printers produce output" `Slow
       test_printers_produce_output;

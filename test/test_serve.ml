@@ -401,25 +401,23 @@ let test_warm_cache () =
   Alcotest.(check string) "cached output is byte-identical" cold_out warm_out
 
 (* Four concurrent clients — two analyzes, a sweep and a stats poll —
-   each checked byte-for-byte against the spawned local binary. *)
+   then a run and a place, each checked byte-for-byte against the spawned
+   local binary. *)
 let test_concurrent_clients_byte_identical () =
-  let expected_analyze =
+  let local args =
     let code, out, err =
-      Test_cli_exit.run_nvscav
-        [ "analyze"; "gtc"; "--scale"; "0.1"; "--iterations"; "1" ]
+      Test_cli_exit.run_nvscav (args @ [ "--scale"; "0.1"; "--iterations"; "1" ])
     in
-    Alcotest.(check int) ("local analyze: " ^ err) 0 code;
+    Alcotest.(check int) (Printf.sprintf "local %s: %s" (List.hd args) err) 0
+      code;
     out
   in
+  let expected_analyze = local [ "analyze"; "gtc" ] in
   let expected_sweep =
-    let code, out, err =
-      Test_cli_exit.run_nvscav
-        [ "sweep"; "--apps"; "gtc"; "--kinds"; "objects,place"; "--scale";
-          "0.1"; "--iterations"; "1" ]
-    in
-    Alcotest.(check int) ("local sweep: " ^ err) 0 code;
-    out
+    local [ "sweep"; "--apps"; "gtc"; "--kinds"; "objects,place" ]
   in
+  let expected_run = local [ "run"; "gtc" ] in
+  let expected_place = local [ "place"; "gtc" ] in
   let sweep_req =
     Protocol.Sweep
       { apps = Some [ "gtc" ]; kinds = Some [ "objects"; "place" ];
@@ -470,7 +468,27 @@ let test_concurrent_clients_byte_identical () =
   let c = connect_exn sock in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
   let _, warm = collect_output c analyze_req in
-  Alcotest.(check int) "afterwards the cache is warm" 0 warm.Client.misses
+  Alcotest.(check int) "afterwards the cache is warm" 0 warm.Client.misses;
+  let run_out, _ =
+    collect_output c
+      (Protocol.Run { app = "gtc"; scale = 0.1; iterations = 1; tech = "sttram" })
+  in
+  Alcotest.(check string) "client run is byte-identical to local" expected_run
+    run_out;
+  (* the protocol has no place request: a place replay of a trace recorded
+     at the same configuration serves the live [place] report *)
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> remove_tree dir) @@ fun () ->
+  let trace = Filename.concat dir "gtc.nvt" in
+  ignore
+    (Nvsc_core.Trace_run.record ~scale:0.1 ~iterations:1 ~path:trace
+       (Option.get (Nvsc_apps.Apps.find "gtc")));
+  let place_out, _ =
+    collect_output c
+      (Protocol.Replay { path = trace; kind = "place"; tech = "sttram" })
+  in
+  Alcotest.(check string) "client place is byte-identical to local"
+    expected_place place_out
 
 (* --- raw-socket abuse ----------------------------------------------------- *)
 
