@@ -71,7 +71,7 @@ let run () quick no_ext markdown jobs cache_dir profile words =
         let iterations = if quick then 3 else 5 in
         Format.print_newline ();
         Nvsc_core.Extensions.run_all Format.std_formatter ~scale ~iterations
-          ()
+          data
       end;
       Format.print_flush ();
       `Ok ()

@@ -359,8 +359,9 @@ let sample_cmd =
   let run () name scale iterations period sample_length =
     with_app name (fun app ->
         Nvsc_core.Extensions.pp_sampling fmt
-          (Nvsc_core.Extensions.sampling_ablation ~scale ~iterations ~period
-             ~sample_length app))
+          (Nvsc_core.Extensions.sampling_ablation ~period ~sample_length app
+             (Nvsc_core.Scavenger.run (scavenger_config ~scale ~iterations)
+                app)))
   in
   let info =
     Cmd.info "sample"
@@ -379,7 +380,11 @@ let hybrid_cmd =
   let run () name scale iterations tech =
     with_app name (fun app ->
         Nvsc_core.Extensions.pp_hybrid_simulation fmt
-          (Nvsc_core.Extensions.hybrid_simulation ~scale ~iterations ~tech app))
+          (Nvsc_core.Extensions.hybrid_simulation ~tech
+             (Nvsc_core.Scavenger.run
+                Nvsc_core.Scavenger.Config.(
+                  scavenger_config ~scale ~iterations |> with_trace true)
+                app)))
   in
   let info =
     Cmd.info "hybrid"
@@ -404,8 +409,9 @@ let fine_cmd =
   let run () name scale iterations window =
     with_app name (fun app ->
         Nvsc_core.Extensions.pp_fine_grained fmt
-          (Nvsc_core.Extensions.fine_grained_placement ~scale ~iterations
-             ~window_refs:window app))
+          (Nvsc_core.Extensions.fine_grained_placement ~window_refs:window app
+             (Nvsc_core.Scavenger.run (scavenger_config ~scale ~iterations)
+                app)))
   in
   let info =
     Cmd.info "fine"

@@ -36,11 +36,9 @@ let () =
         (Nvsc_util.Table.cell_pct rep.Nvsc_core.Object_analysis.read_only_fraction)
         (Nvsc_util.Table.cell_pct
            rep.Nvsc_core.Object_analysis.nvram_friendly_fraction);
-      (* the placement consequence *)
-      let p =
-        Nvsc_core.Extensions.placement_summary ~scale:0.5 ~iterations:8 app
-      in
-      Nvsc_core.Extensions.pp_placement Format.std_formatter p;
+      (* the placement consequence, from the same profile *)
+      Nvsc_core.Extensions.pp_placement Format.std_formatter
+        (Nvsc_core.Extensions.placement_summary r);
       Format.printf "@.")
     [ "minife"; "minimd" ];
 

@@ -17,8 +17,14 @@ let () =
   Format.printf "== application traces (PCRAM backing) ==@.";
   List.iter
     (fun app ->
+      let r =
+        Nvsc_core.Scavenger.run
+          Nvsc_core.Scavenger.Config.(
+            default |> with_scale 0.5 |> with_iterations 5 |> with_trace true)
+          app
+      in
       Nvsc_core.Extensions.pp_hybrid Format.std_formatter
-        (Nvsc_core.Extensions.hybrid_design ~scale:0.5 ~iterations:5 app))
+        (Nvsc_core.Extensions.hybrid_design r))
     Nvsc_apps.Apps.all;
 
   Format.printf "@.== locality sweep ==@.";

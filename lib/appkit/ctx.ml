@@ -339,15 +339,6 @@ let notify t ev =
     (Array.unsafe_get sinks i) ev
   done
 
-let clear_sinks t =
-  flush_refs t;
-  t.sinks <- [||];
-  t.attr_sinks <- [||];
-  t.instr_sink <- None;
-  t.event_sinks <- [||];
-  t.record_sink <- None;
-  t.recording <- false
-
 let release t =
   flush_refs t;
   let pool = Domain.DLS.get pool_key in
@@ -586,18 +577,7 @@ let frame_carve _t frame ~words =
   frame.cursor <- base + size;
   base
 
-let frame_routine frame = frame.routine
-
 (* --- reference emission ----------------------------------------------- *)
-
-let attribute t addr =
-  match Layout.classify addr with
-  | Some Layout.Stack -> (
-    match Shadow_stack.attribute t.shadow addr with
-    | Some frame -> Hashtbl.find_opt t.routine_objects frame.routine_addr
-    | None -> None)
-  | Some (Layout.Heap | Layout.Global) -> Object_registry.lookup t.registry addr
-  | None -> None
 
 (* Stack attribution as an object id (-1 = none). *)
 let attribute_stack_id t addr =
@@ -789,8 +769,6 @@ let stack_object_of_routine t routine =
 let stack_objects t =
   Hashtbl.fold (fun _ obj acc -> obj :: acc) t.routine_objects []
   |> List.sort (fun (a : Mem_object.t) b -> compare a.id b.id)
-
-let attribute_addr = attribute
 
 let fast_tally t ~iter =
   if iter < 0 || iter >= Array.length t.tallies then

@@ -97,10 +97,6 @@ val add_event_sink : t -> (event -> unit) -> unit
 
 val redzone_bytes : t -> int
 
-val clear_sinks : t -> unit
-(** Flushes buffered references, then unsubscribes every sink (including
-    the event sink). *)
-
 val release : t -> unit
 (** Flush, then return the ~2 MB emission buffers to a per-domain pool for
     the next {!create} (buffer allocation dominates context setup).  Call
@@ -176,8 +172,6 @@ val frame_carve : t -> frame -> words:int -> int
 (** Reserve [words] within the frame and return their base address.  Raises
     [Invalid_argument] when the frame is exhausted. *)
 
-val frame_routine : frame -> string
-
 (** {1 Reference emission} *)
 
 val read_addr : t -> addr:int -> unit
@@ -248,11 +242,6 @@ val stack_object_of_routine : t -> string -> Nvsc_memtrace.Mem_object.t option
 
 val stack_objects : t -> Nvsc_memtrace.Mem_object.t list
 (** One frame object per routine seen so far (slow stack method). *)
-
-val attribute_addr : t -> int -> Nvsc_memtrace.Mem_object.t option
-(** Resolve an address to its memory object the way the recorder does:
-    stack addresses through the shadow stack, heap/global through the
-    registry.  Exposed for external monitors. *)
 
 (** Per-iteration tallies of the fast stack method (paper §III-A, method
     1): whole-stack read/write counts and the share of all references that

@@ -55,19 +55,6 @@ type fig12_cell = {
   normalized_runtime : float;
 }
 
-let fig12_cells points =
-  List.map
-    (fun (app, pts) ->
-      ( app,
-        List.map
-          (fun (p : Nvsc_cpusim.Sensitivity.point) ->
-            {
-              tech = p.tech;
-              latency_ns = p.latency_ns;
-              normalized_runtime = p.normalized_runtime;
-            })
-          pts ))
-    points
 
 (* --- printing forms ---------------------------------------------------- *)
 

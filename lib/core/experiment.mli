@@ -58,10 +58,6 @@ type fig12_cell = {
   normalized_runtime : float;
 }
 
-val fig12_cells :
-  (string * Nvsc_cpusim.Sensitivity.point list) list ->
-  (string * fig12_cell list) list
-
 (** Everything the evaluation report needs, per app, in presentation
     order.  [cdfs] omits GTC, as the paper's figure 7 does; [powers] holds
     the normalised average power per technology (Table VI). *)
@@ -86,16 +82,10 @@ val pp_table1_rows : Format.formatter -> table1_row list -> unit
 val pp_fig7_data :
   Format.formatter -> (string * Usage_variance.cdf_point list) list -> unit
 
-val pp_fig8_11_data :
-  Format.formatter -> (string * Usage_variance.variance) list -> unit
-
 val pp_table6_data :
   Format.formatter ->
   (string * (Nvsc_nvram.Technology.t * float) list) list ->
   unit
-
-val pp_fig12_data :
-  Format.formatter -> (string * fig12_cell list) list -> unit
 
 val table2 : Format.formatter -> unit -> unit
 val table3 : Format.formatter -> unit -> unit

@@ -20,16 +20,21 @@ let verdict_of (m : Object_metrics.t) =
   Suitability.classify ~category:Technology.Cat2_long_write
     (Object_metrics.suitability_metrics m)
 
-let sampling_ablation ?(scale = 0.5) ?(iterations = 5) ?(period = 10_000)
-    ?(sample_length = 100) (module A : Nvsc_apps.Workload.APP) =
-  let cfg =
-    Scavenger.Config.(
-      default |> with_scale scale |> with_iterations iterations)
-  in
-  let full = Scavenger.run cfg (module A) in
+(* The studies below that replay the main-memory trace need a traced
+   profile. *)
+let trace_of fn (r : Scavenger.result) =
+  match r.mem_trace with
+  | Some trace -> trace
+  | None -> invalid_arg ("Extensions." ^ fn ^ ": result lacks a trace")
+
+let sampling_ablation ?(period = 10_000) ?(sample_length = 100)
+    (module A : Nvsc_apps.Workload.APP) (full : Scavenger.result) =
   let sampled =
     Scavenger.run
-      (Scavenger.Config.with_sampling ~period ~sample_length cfg)
+      Scavenger.Config.(
+        default |> with_scale full.scale
+        |> with_iterations full.iterations
+        |> with_sampling ~period ~sample_length)
       (module A)
   in
   (* objects correspond by name across the two deterministic runs *)
@@ -77,17 +82,9 @@ type hybrid_design = {
   latency_advantage : float;
 }
 
-let hybrid_design ?(scale = 0.5) ?(iterations = 5)
-    ?(tech = Technology.get Technology.PCRAM) (module A : Nvsc_apps.Workload.APP)
-    =
-  let r =
-    Scavenger.run
-      Scavenger.Config.(
-        default |> with_scale scale |> with_iterations iterations
-        |> with_trace true)
-      (module A)
-  in
-  let trace = Option.get r.Scavenger.mem_trace in
+let hybrid_design (r : Scavenger.result) =
+  let trace = trace_of "hybrid_design" r in
+  let tech = Technology.get Technology.PCRAM in
   (* hierarchical: a small DRAM page cache (1/4 of the footprint) in front
      of NVRAM *)
   let dram_pages = Stdlib.max 16 (r.Scavenger.footprint_bytes / 4 / 4096) in
@@ -139,8 +136,8 @@ type crossover_point = {
   dram_cache_wins : bool;
 }
 
-let dram_cache_crossover ?(tech = Technology.get Technology.PCRAM)
-    ?(accesses = 100_000) ~hot_fractions () =
+let dram_cache_crossover ?(accesses = 100_000) ~hot_fractions () =
+  let tech = Technology.get Technology.PCRAM in
   List.map
     (fun hot_fraction ->
       let dram_pages = 512 in
@@ -182,45 +179,54 @@ type placement_summary = {
   migrated_bytes : int;
 }
 
-let placement_summary ?(scale = 0.5) ?(iterations = 5)
-    ?(tech = Technology.get Technology.STTRAM)
-    (module A : Nvsc_apps.Workload.APP) =
-  let r =
-    Scavenger.run
-      Scavenger.Config.(
-        default |> with_scale scale |> with_iterations iterations)
-      (module A)
+(* Both dynamic-placement studies start every object in NVRAM, at twice
+   the footprint on each side, and let the dynamic policy pull objects
+   back to DRAM.  STTRAM is category 2, the paper's most promising
+   technology, whose fast reads let the policy demote popular read-mostly
+   objects. *)
+let placement_tech = Technology.get Technology.STTRAM
+
+let demote_popular_reads =
+  match placement_tech.Technology.category with
+  | Technology.Cat2_long_write | Technology.Cat3_dram_like -> true
+  | Technology.Cat1_long_read_write | Technology.Volatile -> false
+
+let dynamic_start (r : Scavenger.result) items =
+  let capacity = 2 * r.footprint_bytes in
+  let hybrid =
+    HM.create ~dram_bytes:capacity ~nvram_bytes:capacity ~tech:placement_tech
   in
-  let metrics = Scavenger.global_and_heap_metrics r in
-  let items = Scavenger.placement_items r in
-  let capacity = 2 * r.Scavenger.footprint_bytes in
-  let static =
-    Nvsc_placement.Static_policy.plan
-      ~hybrid:(HM.create ~dram_bytes:capacity ~nvram_bytes:capacity ~tech)
-      items
-  in
-  let sa = HM.assess static in
-  (* dynamic: start everything in NVRAM, feed per-iteration counters *)
-  let hybrid = HM.create ~dram_bytes:capacity ~nvram_bytes:capacity ~tech in
   List.iter (fun item -> HM.place hybrid item HM.Nvram) items;
-  let demote_popular_reads =
-    match tech.Technology.category with
-    | Technology.Cat2_long_write | Technology.Cat3_dram_like -> true
-    | Technology.Cat1_long_read_write | Technology.Volatile -> false
-  in
   let policy =
     Nvsc_placement.Dynamic_policy.create ~demote_popular_reads ~hybrid ()
   in
-  let item_by_id =
-    List.fold_left
-      (fun acc (i : Item.t) -> (i.id, i) :: acc)
-      [] items
+  (hybrid, policy)
+
+let item_table items =
+  let by_id = Hashtbl.create 64 in
+  List.iter (fun (i : Item.t) -> Hashtbl.replace by_id i.id i) items;
+  by_id
+
+let placement_summary (r : Scavenger.result) =
+  let metrics = Scavenger.global_and_heap_metrics r in
+  let items = Scavenger.placement_items r in
+  let capacity = 2 * r.footprint_bytes in
+  let static =
+    Nvsc_placement.Static_policy.plan
+      ~hybrid:
+        (HM.create ~dram_bytes:capacity ~nvram_bytes:capacity
+           ~tech:placement_tech)
+      items
   in
-  for iter = 1 to r.Scavenger.iterations do
+  let sa = HM.assess static in
+  (* dynamic: feed the policy the per-iteration counters *)
+  let hybrid, policy = dynamic_start r items in
+  let item_by_id = item_table items in
+  for iter = 1 to r.iterations do
     let epoch =
       List.filter_map
         (fun (m : Object_metrics.t) ->
-          match List.assoc_opt m.obj.Mem_object.id item_by_id with
+          match Hashtbl.find_opt item_by_id m.obj.Mem_object.id with
           | None -> None
           | Some item ->
             Some
@@ -235,7 +241,7 @@ let placement_summary ?(scale = 0.5) ?(iterations = 5)
   done;
   let da = HM.assess hybrid in
   {
-    app_name = r.Scavenger.app_name;
+    app_name = r.app_name;
     objects = List.length items;
     static_nvram_fraction = sa.HM.nvram_fraction;
     static_slowdown_bound = sa.HM.slowdown_bound;
@@ -256,34 +262,16 @@ type fine_grained = {
   final_nvram_fraction : float;
 }
 
-let fine_grained_placement ?(scale = 0.5) ?(iterations = 5)
-    ?(window_refs = 100_000) ?(tech = Technology.get Technology.STTRAM)
-    (module A : Nvsc_apps.Workload.APP) =
-  (* profile pass: learn the object population (ids are deterministic) *)
-  let profile =
-    Scavenger.run
-      Scavenger.Config.(
-        default |> with_scale scale |> with_iterations iterations)
-      (module A)
-  in
+let fine_grained_placement ?(window_refs = 100_000)
+    (module A : Nvsc_apps.Workload.APP) (profile : Scavenger.result) =
+  (* the profile gives the object population (ids are deterministic) *)
   let items = Scavenger.placement_items profile in
   let total_bytes =
     List.fold_left (fun acc (i : Item.t) -> acc + i.size_bytes) 0 items
   in
-  let item_by_id = Hashtbl.create 64 in
-  List.iter (fun (i : Item.t) -> Hashtbl.replace item_by_id i.id i) items;
+  let item_by_id = item_table items in
   (* online pass: the monitor drives the policy as the app runs *)
-  let capacity = 2 * profile.Scavenger.footprint_bytes in
-  let hybrid = HM.create ~dram_bytes:capacity ~nvram_bytes:capacity ~tech in
-  List.iter (fun item -> HM.place hybrid item HM.Nvram) items;
-  let demote_popular_reads =
-    match tech.Technology.category with
-    | Technology.Cat2_long_write | Technology.Cat3_dram_like -> true
-    | Technology.Cat1_long_read_write | Technology.Volatile -> false
-  in
-  let policy =
-    Nvsc_placement.Dynamic_policy.create ~demote_popular_reads ~hybrid ()
-  in
+  let hybrid, policy = dynamic_start profile items in
   let residency_sum = ref 0. in
   let samples = ref 0 in
   let on_window counts =
@@ -303,7 +291,7 @@ let fine_grained_placement ?(scale = 0.5) ?(iterations = 5)
   in
   let ctx = Nvsc_appkit.Ctx.create () in
   let monitor = Fine_monitor.attach ctx ~window_refs ~on_window in
-  A.run ~scale ctx ~iterations;
+  A.run ~scale:profile.scale ctx ~iterations:profile.iterations;
   Fine_monitor.flush monitor;
   {
     app_name = A.name;
@@ -358,17 +346,9 @@ let interval_table hybrid metrics =
     | Some () -> Nvsc_dramsim.Hybrid_system.Nvram_side
     | None -> Nvsc_dramsim.Hybrid_system.Dram_side
 
-let hybrid_simulation ?(scale = 0.5) ?(iterations = 5)
-    ?(tech = Technology.get Technology.STTRAM)
-    (module A : Nvsc_apps.Workload.APP) =
-  let r =
-    Scavenger.run
-      Scavenger.Config.(
-        default |> with_scale scale |> with_iterations iterations
-        |> with_trace true)
-      (module A)
-  in
-  let trace = Option.get r.Scavenger.mem_trace in
+let hybrid_simulation ?(tech = Technology.get Technology.STTRAM)
+    (r : Scavenger.result) =
+  let trace = trace_of "hybrid_simulation" r in
   let metrics = Scavenger.global_and_heap_metrics r in
   let items = Scavenger.placement_items r in
   let capacity = 2 * r.Scavenger.footprint_bytes in
@@ -411,16 +391,8 @@ let pp_hybrid_simulation fmt (h : hybrid_simulation) =
 
 (* --- Table VI robustness --------------------------------------------------- *)
 
-let power_sensitivity ?(scale = 0.5) ?(iterations = 5)
-    (module A : Nvsc_apps.Workload.APP) =
-  let r =
-    Scavenger.run
-      Scavenger.Config.(
-        default |> with_scale scale |> with_iterations iterations
-        |> with_trace true)
-      (module A)
-  in
-  let trace = Option.get r.Scavenger.mem_trace in
+let power_sensitivity (r : Scavenger.result) =
+  let trace = trace_of "power_sensitivity" r in
   let replay sink = Trace_log.replay_batch trace sink in
   let configs =
     [
@@ -485,17 +457,29 @@ let pp_placement fmt (p : placement_summary) =
     p.dynamic_slowdown_bound p.migrations Nvsc_util.Units.pp_bytes
     p.migrated_bytes
 
-let run_all fmt ?(scale = 0.5) ?(iterations = 5) () =
+let run_all fmt ~scale ~iterations (data : Experiment.data) =
+  (* one traced profiling pass per application feeds every study, as the
+     paper derives all of its analyses from one instrumented run *)
+  let cfg =
+    Scavenger.Config.(
+      default |> with_scale scale |> with_iterations iterations
+      |> with_trace true)
+  in
+  let profiles =
+    List.map
+      (fun app ->
+        let (module A : Nvsc_apps.Workload.APP) = app in
+        (A.name, (app, Scavenger.run cfg app)))
+      Nvsc_apps.Apps.all
+  in
+  let profile name = snd (List.assoc name profiles) in
+  let each f = List.iter (fun (_, (app, r)) -> f app r) profiles in
   Format.fprintf fmt
     "== Extension: sampling ablation (the design §III-D rejects) ==@.";
-  List.iter
-    (fun app -> pp_sampling fmt (sampling_ablation ~scale ~iterations app))
-    Nvsc_apps.Apps.all;
+  each (fun app r -> pp_sampling fmt (sampling_ablation app r));
   Format.fprintf fmt
     "@.== Extension: hybrid organisation (horizontal vs DRAM-cache, §II) ==@.";
-  List.iter
-    (fun app -> pp_hybrid fmt (hybrid_design ~scale ~iterations app))
-    Nvsc_apps.Apps.all;
+  each (fun _ r -> pp_hybrid fmt (hybrid_design r));
   Format.fprintf fmt
     "@.== Extension: DRAM-cache locality crossover (PCRAM backing) ==@.";
   List.iter
@@ -509,16 +493,11 @@ let run_all fmt ?(scale = 0.5) ?(iterations = 5) () =
          else "DRAM cache loses (the paper's poor-locality case)"))
     (dram_cache_crossover ~hot_fractions:[ 0.99; 0.95; 0.9; 0.7; 0.5; 0.2 ] ());
   Format.fprintf fmt "@.== Extension: placement policies (§VII-C) ==@.";
-  List.iter
-    (fun app -> pp_placement fmt (placement_summary ~scale ~iterations app))
-    Nvsc_apps.Apps.all;
+  each (fun _ r -> pp_placement fmt (placement_summary r));
   Format.fprintf fmt
     "@.== Extension: hybrid memory-system simulation (the run §V could \
      not do; STTRAM half) ==@.";
-  List.iter
-    (fun app ->
-      pp_hybrid_simulation fmt (hybrid_simulation ~scale ~iterations app))
-    Nvsc_apps.Apps.all;
+  each (fun _ r -> pp_hybrid_simulation fmt (hybrid_simulation r));
   Format.fprintf fmt
     "@.== Extension: Table VI robustness to controller choices (cam) ==@.";
   List.iter
@@ -528,23 +507,16 @@ let run_all fmt ?(scale = 0.5) ?(iterations = 5) () =
         (fun ((t : Technology.t), p) -> Format.fprintf fmt " %s=%.3f" t.name p)
         powers;
       Format.pp_print_newline fmt ())
-    (power_sensitivity ~scale ~iterations
-       (Option.get (Nvsc_apps.Apps.find "cam")));
+    (power_sensitivity (profile "cam"));
   Format.fprintf fmt
     "@.== Extension: main-memory traffic attribution (cam) ==@.";
   Traffic_attribution.pp_report fmt
-    (Traffic_attribution.analyze
-       (Scavenger.run
-          Scavenger.Config.(
-            default |> with_scale scale |> with_iterations iterations
-            |> with_trace true)
-          (Option.get (Nvsc_apps.Apps.find "cam"))));
+    (Traffic_attribution.analyze (profile "cam"));
   Format.fprintf fmt
     "@.== Extension: fine-grained dynamic placement (§VII-C's monitor, \
      nek5000) ==@.";
-  pp_fine_grained fmt
-    (fine_grained_placement ~scale ~iterations
-       (Option.get (Nvsc_apps.Apps.find "nek5000")));
+  (let app, r = List.assoc "nek5000" profiles in
+   pp_fine_grained fmt (fine_grained_placement app r));
   Format.fprintf fmt
     "@.== Extension: multi-task representativeness (4 ranks, 20%% \
      imbalance) ==@.";
@@ -559,32 +531,30 @@ let run_all fmt ?(scale = 0.5) ?(iterations = 5) () =
   Format.fprintf fmt
     "the paper's read=write assumption is a performance lower bound (§V); \
      with posted writes:@.";
-  let sym = Experiment.fig12_data ~config:Experiment.quick_config () in
+  (* the symmetric points are the figure 12 already in [data] *)
   let asym =
-    Experiment.fig12_data ~config:Experiment.quick_config ~asymmetric:true ()
+    Experiment.fig12_data ~config:data.data_config ~asymmetric:true ()
   in
-  List.iter2
-    (fun (app, sym_points) (_, asym_points) ->
-      let get points name =
+  List.iter
+    (fun (app, sym_cells) ->
+      let sym name =
+        (List.find
+           (fun (c : Experiment.fig12_cell) -> c.tech.Technology.name = name)
+           sym_cells)
+          .normalized_runtime
+      in
+      let asym name =
         (List.find
            (fun (p : Nvsc_cpusim.Sensitivity.point) ->
              p.tech.Technology.name = name)
-           points)
+           (List.assoc app asym))
           .Nvsc_cpusim.Sensitivity.normalized_runtime
       in
       Format.fprintf fmt
-        "%-8s PCRAM %.3f -> %.3f   STTRAM %.3f -> %.3f@." app
-        (get sym_points "PCRAM") (get asym_points "PCRAM")
-        (get sym_points "STTRAM") (get asym_points "STTRAM"))
-    sym asym;
+        "%-8s PCRAM %.3f -> %.3f   STTRAM %.3f -> %.3f@." app (sym "PCRAM")
+        (asym "PCRAM") (sym "STTRAM") (asym "STTRAM"))
+    data.perf;
   Format.fprintf fmt "@.== Extension: row-buffer policy ablation ==@.";
-  let r =
-    Scavenger.run
-      Scavenger.Config.(
-        default |> with_scale scale |> with_iterations iterations
-        |> with_trace true)
-      (Option.get (Nvsc_apps.Apps.find "s3d"))
-  in
   List.iter
     (fun (policy, (s : Nvsc_dramsim.Controller.stats)) ->
       Format.fprintf fmt
@@ -594,5 +564,5 @@ let run_all fmt ?(scale = 0.5) ?(iterations = 5) () =
         | Nvsc_dramsim.Controller.Closed_page -> "closed-page")
         s.row_hit_rate s.avg_latency_ns Nvsc_util.Units.pp_watts s.avg_power_w)
     (row_policy_ablation
-       (Option.get r.Scavenger.mem_trace)
+       (trace_of "run_all" (profile "s3d"))
        ~tech:(Technology.get Technology.DDR3))

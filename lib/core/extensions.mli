@@ -11,7 +11,13 @@
       policies to an application profile (§VII-C's dynamic-placement
       discussion);
     - {!row_policy_ablation} quantifies the controller's open- vs
-      closed-page policy on an application trace. *)
+      closed-page policy on an application trace.
+
+    Each per-application study reads a profile the caller already holds:
+    the {!Scavenger.result} of one pass, as the paper derives every
+    analysis from one instrumented run.  Studies that replay the
+    main-memory trace raise [Invalid_argument] on a result run without
+    [with_trace]. *)
 
 (** {1 Sampling ablation} *)
 
@@ -28,14 +34,15 @@ type sampling_ablation = {
 }
 
 val sampling_ablation :
-  ?scale:float ->
-  ?iterations:int ->
   ?period:int ->
   ?sample_length:int ->
   (module Nvsc_apps.Workload.APP) ->
+  Scavenger.result ->
   sampling_ablation
-(** Defaults: period 10000, sample_length 100 (a 1 % sample in sparse
-    windows, as a SimPoint-style phase sampler would take). *)
+(** Compare the full profile of the application with a sampled run at
+    the profile's scale and iterations.  Defaults: period 10000,
+    sample_length 100 (a 1 % sample in sparse windows, as a
+    SimPoint-style phase sampler would take). *)
 
 (** {1 Hybrid organisation comparison} *)
 
@@ -53,13 +60,10 @@ type hybrid_design = {
           horizontal design the paper chose wins *)
 }
 
-val hybrid_design :
-  ?scale:float ->
-  ?iterations:int ->
-  ?tech:Nvsc_nvram.Technology.t ->
-  (module Nvsc_apps.Workload.APP) ->
-  hybrid_design
-(** [tech] defaults to PCRAM (the hierarchical design's usual backing). *)
+val hybrid_design : Scavenger.result -> hybrid_design
+(** Replay a traced profile through a PCRAM-backed DRAM page cache (the
+    hierarchical design's usual backing) and compare with the static
+    horizontal placement. *)
 
 (** One point of the locality sweep: at what locality does the DRAM page
     cache stop paying for its page fills? *)
@@ -72,16 +76,15 @@ type crossover_point = {
 }
 
 val dram_cache_crossover :
-  ?tech:Nvsc_nvram.Technology.t ->
   ?accesses:int ->
   hot_fractions:float list ->
   unit ->
   crossover_point list
 (** Synthetic traces with a controlled hot-set fraction, replayed through
-    the page cache — quantifying the paper's §II claim that "for workloads
-    with poor locality, the DRAM cache actually lowers performance".  The
-    hierarchical design loses to even a flat all-NVRAM memory once page
-    fills outweigh the hits. *)
+    a PCRAM-backed page cache — quantifying the paper's §II claim that
+    "for workloads with poor locality, the DRAM cache actually lowers
+    performance".  The hierarchical design loses to even a flat
+    all-NVRAM memory once page fills outweigh the hits. *)
 
 (** {1 Placement policies on application profiles} *)
 
@@ -96,13 +99,9 @@ type placement_summary = {
   migrated_bytes : int;
 }
 
-val placement_summary :
-  ?scale:float ->
-  ?iterations:int ->
-  ?tech:Nvsc_nvram.Technology.t ->
-  (module Nvsc_apps.Workload.APP) ->
-  placement_summary
-(** [tech] defaults to STTRAM (category 2, the paper's most promising). *)
+val placement_summary : Scavenger.result -> placement_summary
+(** Static and per-iteration dynamic placement of the profile's objects
+    over DRAM and STTRAM (category 2, the paper's most promising). *)
 
 (** {1 Fine-grained dynamic placement} *)
 
@@ -117,17 +116,16 @@ type fine_grained = {
 }
 
 val fine_grained_placement :
-  ?scale:float ->
-  ?iterations:int ->
   ?window_refs:int ->
-  ?tech:Nvsc_nvram.Technology.t ->
   (module Nvsc_apps.Workload.APP) ->
+  Scavenger.result ->
   fine_grained
-(** §VII-C's proposal realised: run the application with a
-    {!Fine_monitor} driving the dynamic policy *online*, at sub-iteration
-    granularity ([window_refs] references per decision, default 100k).
-    Everything starts in NVRAM; the policy pulls write-bursting objects
-    back to DRAM as each window closes.  [tech] defaults to STTRAM. *)
+(** §VII-C's proposal realised: run the application again, at the
+    profile's scale and iterations, with a {!Fine_monitor} driving the
+    dynamic policy *online*, at sub-iteration granularity ([window_refs]
+    references per decision, default 100k).  The profile supplies the
+    object population.  Everything starts in STTRAM; the policy pulls
+    write-bursting objects back to DRAM as each window closes. *)
 
 val pp_fine_grained : Format.formatter -> fine_grained -> unit
 
@@ -144,14 +142,10 @@ type hybrid_simulation = {
 }
 
 val hybrid_simulation :
-  ?scale:float ->
-  ?iterations:int ->
-  ?tech:Nvsc_nvram.Technology.t ->
-  (module Nvsc_apps.Workload.APP) ->
-  hybrid_simulation
+  ?tech:Nvsc_nvram.Technology.t -> Scavenger.result -> hybrid_simulation
 (** The simulation the paper's §V says it could not run ("we do not
     simulate a hybrid memory system due to the limitations of the
-    simulator"): profile the application, place its objects statically
+    simulator"): place a traced profile's objects statically
     across a DRAM half and an NVRAM half
     ({!Nvsc_placement.Static_policy}), then replay the cache-filtered
     trace through {!Nvsc_dramsim.Hybrid_system} with accesses routed by
@@ -162,11 +156,8 @@ val pp_hybrid_simulation : Format.formatter -> hybrid_simulation -> unit
 (** {1 Table VI robustness} *)
 
 val power_sensitivity :
-  ?scale:float ->
-  ?iterations:int ->
-  (module Nvsc_apps.Workload.APP) ->
-  (string * (Nvsc_nvram.Technology.t * float) list) list
-(** Re-run the Table VI experiment for one application under different
+  Scavenger.result -> (string * (Nvsc_nvram.Technology.t * float) list) list
+(** Re-run the Table VI experiment on a traced profile under different
     controller configurations — FR-FCFS scheduling, line-interleaved
     address mapping, closed-page row policy — to check that the paper's
     headline (>= 27 % saving; PCRAM <= STTRAM <= MRAM) is not an artifact
@@ -187,5 +178,10 @@ val pp_sampling : Format.formatter -> sampling_ablation -> unit
 val pp_hybrid : Format.formatter -> hybrid_design -> unit
 val pp_placement : Format.formatter -> placement_summary -> unit
 
-val run_all : Format.formatter -> ?scale:float -> ?iterations:int -> unit -> unit
-(** Run every extension over all four applications and print. *)
+val run_all :
+  Format.formatter -> scale:float -> iterations:int -> Experiment.data -> unit
+(** Run every extension over all four applications and print.  One traced
+    pass per application at [scale] and [iterations] feeds every
+    per-application study; the multi-task study runs its own ranks.  The
+    figure-12 asymmetry section reads its symmetric points from [data]
+    and replays only the asymmetric model, at [data]'s configuration. *)

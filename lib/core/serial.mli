@@ -9,12 +9,6 @@
 
 module Json = Nvsc_util.Json
 
-val kind_to_json : Nvsc_memtrace.Layout.kind -> Json.t
-val kind_of_json : Json.t -> Nvsc_memtrace.Layout.kind
-
-val verdict_to_json : Nvsc_nvram.Suitability.verdict -> Json.t
-val verdict_of_json : Json.t -> Nvsc_nvram.Suitability.verdict
-
 val summary_to_json : Stack_analysis.summary -> Json.t
 val summary_of_json : Json.t -> Stack_analysis.summary
 

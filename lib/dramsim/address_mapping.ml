@@ -137,5 +137,3 @@ let scheme_name = function
   | Row_bank_rank_col -> "row:bank:rank:col"
   | Row_rank_bank_col -> "row:rank:bank:col"
   | Line_interleave -> "line-interleave"
-
-let all_schemes = [ Row_bank_rank_col; Row_rank_bank_col; Line_interleave ]

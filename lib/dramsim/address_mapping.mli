@@ -50,5 +50,3 @@ val bank_bits : decoder -> int
 (** [log2 (Org.total_banks org)]. *)
 
 val scheme_name : scheme -> string
-
-val all_schemes : scheme list

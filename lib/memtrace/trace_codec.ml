@@ -360,14 +360,6 @@ module Writer = struct
     else w.t_reads <- w.t_reads + 1;
     if w.chunk_refs >= w.chunk_capacity then seal_chunk w
 
-  let add_batch w ?obj_ids batch ~first ~n =
-    Sink.Batch.check_slice batch ~first ~n;
-    for i = first to first + n - 1 do
-      let obj_id = match obj_ids with Some a -> a.(i) | None -> -1 in
-      add_ref w ~addr:(Sink.Batch.addr batch i) ~size:(Sink.Batch.size batch i)
-        ~op:(Sink.Batch.op batch i) ~obj_id
-    done
-
   let add_instr w n =
     if n <= 0 then invalid_arg "Trace_codec.Writer.add_instr: count";
     flush_run w;

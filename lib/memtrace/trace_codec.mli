@@ -117,10 +117,6 @@ module Writer : sig
   (** Append one reference.  [obj_id] is the emission-time attribution
       ([-1] = unattributed). *)
 
-  val add_batch :
-    t -> ?obj_ids:int array -> Sink.Batch.t -> first:int -> n:int -> unit
-  (** Append a batch slice ([obj_ids] defaults to all-unattributed). *)
-
   val add_instr : t -> int -> unit
   (** Append a committed plain-instruction count (positive). *)
 

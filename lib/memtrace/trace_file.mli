@@ -20,9 +20,6 @@ val load : ?size:int -> string -> Trace_log.t
     [Failure] naming the file path and the offending line number on a
     malformed record. *)
 
-val append_record : out_channel -> index:int -> Access.t -> unit
-(** Write one record (exposed for streaming writers). *)
-
 val parse_record : ?size:int -> string -> Access.t option
 (** Parse one line; [None] for comments and blank lines.  Raises [Failure]
     on malformed input.  The parsed access gets byte size [size]

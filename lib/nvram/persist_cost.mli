@@ -12,9 +12,6 @@
 val line_bytes : int
 (** 64 — must match {!Nvsc_sanitizer}'s checker granularity. *)
 
-val fence_drain_ns : float
-(** Charged per fence (write-pending-queue drain). *)
-
 type t = {
   tech : Technology.t;
   flush_ns : float;  (** flushed lines x the tech's write latency *)

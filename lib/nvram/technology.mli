@@ -54,4 +54,3 @@ val of_string : string -> t option
 val is_nvram : t -> bool
 
 val pp : Format.formatter -> t -> unit
-val pp_category : Format.formatter -> category -> unit

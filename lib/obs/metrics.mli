@@ -61,8 +61,6 @@ val get : string -> value option
 val reset : unit -> unit
 (** Zero every metric (registrations survive). *)
 
-val value_to_json : value -> Nvsc_util.Json.t
-
 val snapshot_json : ?strip_time:bool -> unit -> Nvsc_util.Json.t
 (** The registry snapshot as one JSON object, keys in sorted (hence
     deterministic) order — the payload of [nvscav client stats] and the

@@ -41,8 +41,3 @@ let efficiency ~checkpoint_time_s ~mtbf_s =
   let t = young_interval_s ~checkpoint_time_s ~mtbf_s in
   let overhead = (checkpoint_time_s /. t) +. (t /. (2. *. mtbf_s)) in
   Float.max 0. (Float.min 1. (1. -. overhead))
-
-let pp_target fmt t =
-  Format.fprintf fmt "%s: %.1f GB/s, %gs setup" t.name
-    (t.bandwidth_bytes_per_s /. 1e9)
-    t.setup_latency_s

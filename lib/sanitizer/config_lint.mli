@@ -32,10 +32,6 @@ val app : (module Nvsc_apps.Workload.APP) -> Diagnostic.report
 (** Lowercase non-empty name, non-negative paper footprint, non-empty
     descriptions. *)
 
-val default_wear_threshold : float
-(** 4.0 writes/word/iteration.  State checkpointed once per iteration
-    scores ~1; a write-hammered working array scores far higher. *)
-
 val persist :
   ?scale:float ->
   ?iterations:int ->

@@ -60,17 +60,13 @@ type finding = {
 }
 
 type report = finding list
-(** Always sorted by {!compare_findings}. *)
+(** Always sorted: errors first, then by class, owner and detail. *)
 
 val klass_to_string : klass -> string
-val default_severity : klass -> severity
-val compare_findings : finding -> finding -> int
-val sort_report : report -> report
 val merge : report -> report -> report
 val is_clean : report -> bool
 val errors : report -> int
 val warnings : report -> int
-val pp_finding : Format.formatter -> finding -> unit
 val pp_report : Format.formatter -> report -> unit
 
 (** Aggregates raw diagnostics into one finding per (class, owner) pair,
@@ -89,9 +85,10 @@ module Collector : sig
     owner:string ->
     detail:string ->
     unit
-  (** [severity] defaults to {!default_severity}; [occurrence], [source]
-      and [detail] are kept only for the first report of a (class, owner)
-      pair. *)
+  (** [severity] defaults to the class's own: warning for leaks,
+      redundant flushes, useless fences and write-heavy persistent
+      objects, error otherwise.  [occurrence], [source] and [detail] are
+      kept only for the first report of a (class, owner) pair. *)
 
   val report : t -> report
 end

@@ -24,9 +24,6 @@
 
 type t
 
-val default_line_bytes : int
-(** 64, the cache-line granularity of flush tracking. *)
-
 (** Work-done counters, the input to {!Nvsc_nvram.Persist_cost}. *)
 type stats = {
   mutable stores_checked : int;  (** stores that hit the persist set *)

@@ -80,5 +80,4 @@ val frame_to_json : frame -> Json.t
 
 val frame_of_json : Json.t -> (frame, string) result
 
-val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string

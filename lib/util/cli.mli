@@ -11,10 +11,6 @@ val unknown : what:string -> known:string list -> string -> string
 (** [unknown ~what ~known name] renders the uniform "unknown
     $(what) ..." error, listing the accepted names. *)
 
-val positive_float : what:string -> float Cmdliner.Arg.conv
-(** Rejects zero, negative and non-finite values at parse time, so the
-    mistake is a usage error (exit 2) instead of a crash downstream. *)
-
 val min_int_conv : what:string -> min:int -> int Cmdliner.Arg.conv
 (** Rejects integers below [min] at parse time (e.g. [--jobs 0]). *)
 

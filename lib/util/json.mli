@@ -43,9 +43,7 @@ val to_float : t -> float
     floats. *)
 
 val to_str : t -> string
-val to_bool : t -> bool
 val to_list : t -> t list
-val to_obj : t -> (string * t) list
 
 val float : float -> t
 (** [Float f] for finite [f]; the string spelling otherwise. *)
@@ -77,7 +75,6 @@ module Lines : sig
   (** [reader refill] reads frames from [refill buf pos len] (a
       [Stdlib.input]-style function returning [0] at end of stream). *)
 
-  val of_channel : ?max_frame:int -> in_channel -> reader
   val of_string : ?max_frame:int -> string -> reader
 
   val read : reader -> (t, error) result option

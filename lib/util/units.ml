@@ -18,7 +18,6 @@ let pp_watts fmt w =
 
 let kib n = n * 1024
 let mib n = n * 1024 * 1024
-let gib n = n * 1024 * 1024 * 1024
 
 let ns_of_cycles ~cycles ~ghz = float_of_int cycles /. ghz
 

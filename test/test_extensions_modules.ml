@@ -205,11 +205,23 @@ let test_plot_bars () =
 
 (* --- extension analyses (smoke, reduced scale) ----------------------------- *)
 
+let app name = Option.get (Nvsc_apps.Apps.find name)
+
+(* One traced profiling pass per application, shared by the studies. *)
+let profile name =
+  lazy
+    (Nvsc_core.Scavenger.run
+       Nvsc_core.Scavenger.Config.(
+         default |> with_scale 0.25 |> with_iterations 3 |> with_trace true)
+       (app name))
+
+let nek5000 = profile "nek5000"
+let cam = profile "cam"
+
 let test_sampling_ablation_detects_loss () =
   let a =
-    Nvsc_core.Extensions.sampling_ablation ~scale:0.25 ~iterations:3
-      ~period:10_000 ~sample_length:100
-      (Option.get (Nvsc_apps.Apps.find "nek5000"))
+    Nvsc_core.Extensions.sampling_ablation ~period:10_000 ~sample_length:100
+      (app "nek5000") (Lazy.force nek5000)
   in
   Alcotest.(check bool) "objects lost or misclassified" true
     (a.Nvsc_core.Extensions.lost_objects > 0
@@ -248,9 +260,8 @@ let test_fine_monitor_windows () =
 
 let test_fine_grained_placement () =
   let f =
-    Nvsc_core.Extensions.fine_grained_placement ~scale:0.25 ~iterations:3
-      ~window_refs:50_000
-      (Option.get (Nvsc_apps.Apps.find "nek5000"))
+    Nvsc_core.Extensions.fine_grained_placement ~window_refs:50_000
+      (app "nek5000") (Lazy.force nek5000)
   in
   Alcotest.(check bool) "sub-iteration decision points" true
     (f.Nvsc_core.Extensions.windows > 3);
@@ -264,10 +275,7 @@ let test_hybrid_simulation_bounds () =
   (* the experiment the paper's SSSV could not run: hybrid power must land
      between the all-DRAM and all-NVRAM bounds, and the static plan must
      keep writes off the NVRAM side *)
-  let h =
-    Nvsc_core.Extensions.hybrid_simulation ~scale:0.25 ~iterations:3
-      (Option.get (Nvsc_apps.Apps.find "cam"))
-  in
+  let h = Nvsc_core.Extensions.hybrid_simulation (Lazy.force cam) in
   let power name =
     let _, p, _ = List.find (fun (n, _, _) -> n = name) h.designs in
     p
@@ -283,10 +291,7 @@ let test_hybrid_simulation_bounds () =
 
 let test_power_sensitivity_robust () =
   (* the headline conclusion must survive controller design choices *)
-  let grid =
-    Nvsc_core.Extensions.power_sensitivity ~scale:0.25 ~iterations:3
-      (Option.get (Nvsc_apps.Apps.find "cam"))
-  in
+  let grid = Nvsc_core.Extensions.power_sensitivity (Lazy.force cam) in
   Alcotest.(check int) "four configurations" 4 (List.length grid);
   List.iter
     (fun (label, powers) ->
@@ -316,16 +321,30 @@ let test_power_sensitivity_robust () =
     grid
 
 let test_placement_summary_shape () =
-  let p =
-    Nvsc_core.Extensions.placement_summary ~scale:0.25 ~iterations:3
-      (Option.get (Nvsc_apps.Apps.find "nek5000"))
-  in
+  let p = Nvsc_core.Extensions.placement_summary (Lazy.force nek5000) in
   Alcotest.(check bool) "dynamic places more" true
     (p.Nvsc_core.Extensions.dynamic_nvram_fraction
     >= p.Nvsc_core.Extensions.static_nvram_fraction);
   Alcotest.(check bool) "bounds sane" true
     (p.Nvsc_core.Extensions.static_slowdown_bound >= 1.0
     && p.Nvsc_core.Extensions.dynamic_slowdown_bound < 1.5)
+
+let test_hybrid_design_shape () =
+  let h = Nvsc_core.Extensions.hybrid_design (Lazy.force cam) in
+  Alcotest.(check bool) "hit rate in [0, 1]" true
+    (h.cache_hit_rate >= 0. && h.cache_hit_rate <= 1.);
+  Alcotest.(check bool) "latency advantage positive" true
+    (h.latency_advantage > 0.)
+
+let test_untraced_profile_rejected () =
+  let untraced = { (Lazy.force cam) with mem_trace = None } in
+  let lacks fn = Invalid_argument ("Extensions." ^ fn ^ ": result lacks a trace") in
+  Alcotest.check_raises "hybrid_design" (lacks "hybrid_design") (fun () ->
+      ignore (Nvsc_core.Extensions.hybrid_design untraced));
+  Alcotest.check_raises "hybrid_simulation" (lacks "hybrid_simulation")
+    (fun () -> ignore (Nvsc_core.Extensions.hybrid_simulation untraced));
+  Alcotest.check_raises "power_sensitivity" (lacks "power_sensitivity")
+    (fun () -> ignore (Nvsc_core.Extensions.power_sensitivity untraced))
 
 let suite =
   [
@@ -358,4 +377,7 @@ let suite =
       test_power_sensitivity_robust;
     Alcotest.test_case "placement summary shape" `Slow
       test_placement_summary_shape;
+    Alcotest.test_case "hybrid design shape" `Slow test_hybrid_design_shape;
+    Alcotest.test_case "untraced profile rejected" `Slow
+      test_untraced_profile_rejected;
   ]

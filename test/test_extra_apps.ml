@@ -20,13 +20,25 @@ let run name =
       default |> with_scale 0.5 |> with_iterations 6)
     (Option.get (Nvsc_apps.Apps.find name))
 
+(* One pass per application, shared by its tests: MiniMD runs 8
+   iterations so that the run ends on read-only epochs (see the dynamic
+   policy test). *)
+let minife = lazy (run "minife")
+
+let minimd =
+  lazy
+    (Nvsc_core.Scavenger.run
+       Nvsc_core.Scavenger.Config.(
+         default |> with_scale 0.5 |> with_iterations 8)
+       (Option.get (Nvsc_apps.Apps.find "minimd")))
+
 let metric result name =
   List.find
     (fun (m : OM.t) -> m.obj.Mem_object.name = name)
     result.Nvsc_core.Scavenger.metrics
 
 let test_minife_readonly_dominates () =
-  let r = run "minife" in
+  let r = Lazy.force minife in
   let rep = Nvsc_core.Object_analysis.analyze r in
   (* the CSR arrays put MiniFE far beyond the paper's 7-15% read-only *)
   Alcotest.(check bool) "read-only fraction > 40%" true
@@ -41,7 +53,7 @@ let test_minife_readonly_dominates () =
   Alcotest.(check int) "clean run" 0 r.Nvsc_core.Scavenger.unattributed
 
 let test_minimd_neighbor_list_bursts () =
-  let r = run "minimd" in
+  let r = Lazy.force minimd in
   let nl = metric r "neighbor_list" in
   (* rebuilds happen in iterations 1 and 6; every other iteration the list
      is read-only — the temporally NVRAM-friendly pattern of §VII-C *)
@@ -65,7 +77,7 @@ let test_minimd_neighbor_list_bursts () =
     [ 2; 3; 4; 5 ]
 
 let test_minimd_short_term_heap () =
-  let r = run "minimd" in
+  let r = Lazy.force minimd in
   let bins = metric r "cell_bins" in
   (* allocated inside a main-loop iteration: a short-term object, excluded
      from the figure-7 population *)
@@ -84,20 +96,14 @@ let test_dynamic_policy_exploits_minimd () =
   (* the neighbour list is promoted to DRAM during its rebuild epochs and
      demoted back once the write burst ends; with the run ending on
      read-only epochs, the dynamic policy leaves it in NVRAM *)
-  let p =
-    Nvsc_core.Extensions.placement_summary ~scale:0.5 ~iterations:8
-      (Option.get (Nvsc_apps.Apps.find "minimd"))
-  in
+  let p = Nvsc_core.Extensions.placement_summary (Lazy.force minimd) in
   Alcotest.(check bool) "dynamic uses NVRAM" true
     (p.Nvsc_core.Extensions.dynamic_nvram_fraction > 0.2);
   Alcotest.(check bool) "migration churn from the bursts" true
     (p.Nvsc_core.Extensions.migrations >= 2)
 
 let test_minife_static_plan_wins () =
-  let p =
-    Nvsc_core.Extensions.placement_summary ~scale:0.5 ~iterations:6
-      (Option.get (Nvsc_apps.Apps.find "minife"))
-  in
+  let p = Nvsc_core.Extensions.placement_summary (Lazy.force minife) in
   (* the CSR arrays make even a static plan place a big NVRAM share *)
   Alcotest.(check bool) "static NVRAM share > 40%" true
     (p.Nvsc_core.Extensions.static_nvram_fraction > 0.4);
