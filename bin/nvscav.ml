@@ -265,7 +265,7 @@ let perf_cmd =
   let run () name scale asymmetric =
     with_app name (fun app ->
         let points =
-          Nvsc_cpusim.Sensitivity.run ~asymmetric
+          Nvsc_cpusim.Sensitivity.run_shared ~asymmetric
             ~replay:(Nvsc_core.Experiment.perf_replay ~scale app)
             ()
         in
@@ -810,7 +810,7 @@ let replay_cmd =
       Cell.pp_payload fmt
         (Perf_result
            (Cell.perf_rows_of_points
-              (Nvsc_cpusim.Sensitivity.run
+              (Nvsc_cpusim.Sensitivity.run_shared
                  ~replay:(Nvsc_core.Trace_run.perf_replay path)
                  ())))
     | `Place ->

@@ -34,7 +34,7 @@ let fig12_data ?(config = default_config) ?asymmetric () =
     (fun app ->
       let (module A : Nvsc_apps.Workload.APP) = app in
       ( A.name,
-        Nvsc_cpusim.Sensitivity.run ?asymmetric
+        Nvsc_cpusim.Sensitivity.run_shared ?asymmetric
           ~replay:(perf_replay ~scale:config.perf_scale app)
           () ))
     Nvsc_apps.Apps.all

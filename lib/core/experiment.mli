@@ -40,7 +40,8 @@ val fig12_data :
   (string * Nvsc_cpusim.Sensitivity.point list) list
 (** Per app, normalised runtime per technology.  [asymmetric] switches the
     performance model to distinct read/write latencies with posted writes
-    (see {!Nvsc_cpusim.Sensitivity.run}). *)
+    (see {!Nvsc_cpusim.Sensitivity.run_shared}).  Each app runs once, into
+    a model with one latency lane per technology. *)
 
 (** {1 Evaluation data} *)
 

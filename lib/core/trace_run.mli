@@ -39,10 +39,11 @@ val replay : string -> Scavenger.result
 val perf_replay : string -> Nvsc_cpusim.Perf_model.t -> unit
 (** Feed the trace's main-loop references and instruction counts to a
     performance model — the trace-driven counterpart of
-    {!Experiment.perf_replay}, for {!Nvsc_cpusim.Sensitivity.run}'s
+    {!Experiment.perf_replay}, for {!Nvsc_cpusim.Sensitivity.run_shared}'s
     [~replay].  Byte-identical to live perf reports when the trace was
-    recorded with [iterations = 1] at the perf scale.  Re-opens the trace
-    on each call (the sensitivity sweep replays once per technology). *)
+    recorded with [iterations = 1] at the perf scale.  Opens the trace on
+    each call, so it also serves {!Nvsc_cpusim.Sensitivity.run}, which
+    replays once per technology. *)
 
 val info : string -> Nvsc_memtrace.Trace_codec.meta * string
 (** Header/trailer-only peek: the trace's recording metadata and content

@@ -433,7 +433,7 @@ let perf_rows_of_points points =
 
 let execute_perf spec app =
   let points =
-    Nvsc_cpusim.Sensitivity.run
+    Nvsc_cpusim.Sensitivity.run_shared
       ~replay:(Nvsc_core.Experiment.perf_replay ~scale:spec.scale app)
       ()
   in
@@ -488,7 +488,7 @@ let execute_from_trace spec path =
   | Perf ->
     Perf_result
       (perf_rows_of_points
-         (Nvsc_cpusim.Sensitivity.run
+         (Nvsc_cpusim.Sensitivity.run_shared
             ~replay:(Nvsc_core.Trace_run.perf_replay path)
             ()))
   | Place ->

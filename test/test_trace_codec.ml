@@ -129,7 +129,17 @@ let test_perf_replay_matches_live () =
   let rep =
     Nvsc_cpusim.Sensitivity.run ~replay:(Trace_run.perf_replay path) ()
   in
-  Alcotest.(check bool) "sensitivity points identical" true (live = rep)
+  Alcotest.(check bool) "sensitivity points identical" true (live = rep);
+  let replay = Trace_run.perf_replay path in
+  List.iter
+    (fun asymmetric ->
+      Alcotest.(check bool)
+        (Printf.sprintf "shared trace pass = per-technology (asymmetric=%b)"
+           asymmetric)
+        true
+        (Nvsc_cpusim.Sensitivity.run_shared ~asymmetric ~replay ()
+        = Nvsc_cpusim.Sensitivity.run ~asymmetric ~replay ()))
+    [ false; true ]
 
 let test_digest_keys_on_content () =
   with_tmp @@ fun p1 ->
