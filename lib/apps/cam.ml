@@ -194,7 +194,8 @@ let iterate ctx s ~iter =
   done;
   W.saxpy ctx ~alpha:0.001 ~x:s.u ~y:s.v;
   for col = 0 to s.ncol - 1 do
-    W.rmw s.ps col (fun p -> p +. 0.01)
+    let p = Farray.get s.ps col in
+    Farray.set s.ps col (p +. 0.01)
   done;
   (* radiation writes its common-block slab; the moist process reads its
      own view of the same block *)
@@ -221,7 +222,8 @@ let iterate ctx s ~iter =
   let n = Farray.length s.phys_state in
   let j = ref 0 in
   while !j < n do
-    W.rmw s.phys_state !j (fun v -> v *. 0.999);
+    let v = Farray.get s.phys_state !j in
+    Farray.set s.phys_state !j (v *. 0.999);
     j := !j + 8
   done;
   (* the monthly-mean output fires once mid-run: touched in one iteration *)

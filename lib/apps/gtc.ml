@@ -101,8 +101,11 @@ let push_particle ctx s ~p =
         Farray.set s.zion (zoff + a) (Farray.peek tmp a +. (1e-3 *. !acc))
       done;
       (* scatter: accumulate charge into two grid cells *)
-      W.rmw s.chargeden cell (fun v -> v +. w0);
-      W.rmw s.chargeden ((cell + 1) mod s.grid) (fun v -> v +. w1))
+      let v = Farray.get s.chargeden cell in
+      Farray.set s.chargeden cell (v +. w0);
+      let next = (cell + 1) mod s.grid in
+      let v = Farray.get s.chargeden next in
+      Farray.set s.chargeden next (v +. w1))
 
 (* Field solve: one damped-Jacobi sweep of the gyrokinetic Poisson
    equation with a stack-resident potential temporary. *)
@@ -143,7 +146,8 @@ let iterate ctx s ~iter =
   ignore (Farray.sum ctx shift);
   Farray.free ctx shift;
   (* light diagnostics *)
-  W.rmw s.diagnostics 0 (fun v -> v +. 1.);
+  let v = Farray.get s.diagnostics 0 in
+  Farray.set s.diagnostics 0 (v +. 1.);
   W.read_every s.diagnostics ~stride:32;
   (* failure-atomic checkpoint of the restart state *)
   Ctx.persist_epoch ctx ~label:"checkpoint" ~checkpoint:true (fun () ->
@@ -154,7 +158,8 @@ let iterate ctx s ~iter =
 let post ctx s =
   ignore (Farray.sum ctx s.chargeden);
   for i = 0 to Farray.length s.diagnostics - 1 do
-    W.rmw s.diagnostics i (fun v -> v /. 2.)
+    let v = Farray.get s.diagnostics i in
+    Farray.set s.diagnostics i (v /. 2.)
   done
 
 let run ?(scale = 1.0) ctx ~iterations =

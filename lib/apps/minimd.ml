@@ -98,7 +98,8 @@ let compute_forces ctx s =
           let c = Farray.get s.lj_table ((nb * 13) mod Farray.length s.lj_table) in
           for d = 0 to 2 do
             let delta = Farray.get my d -. Farray.get s.pos ((3 * nb) + d) in
-            W.rmw acc d (fun v -> v +. (c *. delta))
+            let v = Farray.get acc d in
+            Farray.set acc d (v +. (c *. delta))
           done;
           Ctx.flops ctx 9
         done;
@@ -112,7 +113,8 @@ let integrate ctx s =
   for i = 0 to n - 1 do
     let v = Farray.get s.vel i +. (0.005 *. Farray.get s.force i) in
     Farray.set s.vel i v;
-    W.rmw s.pos i (fun x -> x +. (0.005 *. v));
+    let x = Farray.get s.pos i in
+    Farray.set s.pos i (x +. (0.005 *. v));
     Ctx.flops ctx 4
   done
 
@@ -120,7 +122,8 @@ let iterate ctx s ~iter =
   if (iter - 1) mod rebuild_interval = 0 then rebuild_neighbors ctx s;
   compute_forces ctx s;
   integrate ctx s;
-  W.rmw s.diagnostics 0 (fun v -> v +. 1.);
+  let v = Farray.get s.diagnostics 0 in
+  Farray.set s.diagnostics 0 (v +. 1.);
   W.read_every s.diagnostics ~stride:64;
   (* failure-atomic checkpoint of the particle state *)
   Ctx.persist_epoch ctx ~label:"checkpoint" ~checkpoint:true (fun () ->

@@ -121,7 +121,8 @@ let iterate ctx s ~iter =
   done;
   let j = ref 0 in
   while !j < nv do
-    W.rmw s.q !j (fun v -> v +. (1e-3 *. Farray.peek s.qhalf !j));
+    let v = Farray.get s.q !j in
+    Farray.set s.q !j (v +. (1e-3 *. Farray.peek s.qhalf !j));
     j := !j + 2
   done;
   (* failure-atomic checkpoint of the solution *)

@@ -18,8 +18,6 @@ let read_every a ~stride =
     i := !i + stride
   done
 
-let rmw a i f = Farray.set a i (f (Farray.get a i))
-
 let saxpy ctx ~alpha ~x ~y =
   let n = Farray.length x in
   if Farray.length y <> n then invalid_arg "Workload.saxpy: lengths";

@@ -30,9 +30,6 @@ val read_every : Nvsc_appkit.Farray.t -> stride:int -> unit
 (** Read elements [0, stride, 2*stride, ...] — throttled sweeps over large,
     rarely-consulted structures. *)
 
-val rmw : Nvsc_appkit.Farray.t -> int -> (float -> float) -> unit
-(** Read-modify-write one element. *)
-
 val saxpy :
   Nvsc_appkit.Ctx.t ->
   alpha:float ->

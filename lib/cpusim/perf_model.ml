@@ -33,15 +33,19 @@ type t = {
   (* accounting *)
   mutable instr_count : int;
   mutable mem_instr_count : int;
-  mutable base_cycles : float;
-  mutable l2_stall : float;
-  mutable tlb_stall : float;
+  cycle_sums : float array;
+      (* base cycles, L2 stall, TLB stall (the [_slot]s below): a mutable
+         float field of this mixed record would box on every write *)
   mutable l1_hits : int;
   mutable l2_hits : int;
   mutable mem_accesses : int;
   mutable covered_misses : int;
   mutable clusters : int;
 }
+
+let base_slot = 0
+let l2_slot = 1
+let tlb_slot = 2
 
 let valid_latency l = Float.is_finite l && l > 0.
 
@@ -86,9 +90,7 @@ let build ~fn ?(params = Core_params.paper) ?l1d ?l2 ?mem_write_latency_ns
     cluster_size = 0;
     instr_count = 0;
     mem_instr_count = 0;
-    base_cycles = 0.;
-    l2_stall = 0.;
-    tlb_stall = 0.;
+    cycle_sums = Array.make 3 0.;
     l1_hits = 0;
     l2_hits = 0;
     mem_accesses = 0;
@@ -109,8 +111,9 @@ let create_lanes ?mem_write_latency_ns ?write_buffer_entries ~mem_latency_ns ()
 
 let retire t n =
   t.instr_count <- t.instr_count + n;
-  t.base_cycles <-
-    t.base_cycles +. (float_of_int n /. float_of_int t.p.issue_width)
+  t.cycle_sums.(base_slot) <-
+    t.cycle_sums.(base_slot)
+    +. (float_of_int n /. float_of_int t.p.issue_width)
 
 let instructions t n =
   if n < 0 then invalid_arg "Perf_model.instructions: negative count";
@@ -169,7 +172,8 @@ let demand_miss t =
    hardware mechanism that absorbs NVRAM's slow writes).  Each lane has its
    own buffer and clock, since both depend on its stalls so far. *)
 let current_cycles t i =
-  t.base_cycles +. t.l2_stall +. t.mem_stall.(i) +. t.tlb_stall
+  t.cycle_sums.(base_slot) +. t.cycle_sums.(l2_slot) +. t.mem_stall.(i)
+  +. t.cycle_sums.(tlb_slot)
 
 let posted_write t i write_cycles =
   let buffer = t.write_buffers.(i) in
@@ -199,12 +203,13 @@ let access_raw t ~addr ~size ~op =
   t.mem_instr_count <- t.mem_instr_count + 1;
   retire t 1;
   if not (Tlb.access t.tlb addr) then
-    t.tlb_stall <- t.tlb_stall +. float_of_int t.p.tlb_miss_cycles;
+    t.cycle_sums.(tlb_slot) <-
+      t.cycle_sums.(tlb_slot) +. float_of_int t.p.tlb_miss_cycles;
   match Hierarchy.access_classified_raw t.hierarchy ~addr ~size ~op with
   | `L1 -> t.l1_hits <- t.l1_hits + 1
   | `L2 ->
     t.l2_hits <- t.l2_hits + 1;
-    t.l2_stall <- t.l2_stall +. t.l2_visible_cycles
+    t.cycle_sums.(l2_slot) <- t.cycle_sums.(l2_slot) +. t.l2_visible_cycles
   | `Mem -> (
     t.mem_accesses <- t.mem_accesses + 1;
     match (op, t.write_latency_cycles) with
@@ -253,15 +258,18 @@ let lane_report t i =
   let mem_stall =
     t.mem_stall.(i) +. if pending = 1 then t.cluster_stall.(i) else 0.
   in
-  let cycles = t.base_cycles +. t.l2_stall +. mem_stall +. t.tlb_stall in
+  let base_cycles = t.cycle_sums.(base_slot)
+  and l2_stall = t.cycle_sums.(l2_slot)
+  and tlb_stall = t.cycle_sums.(tlb_slot) in
+  let cycles = base_cycles +. l2_stall +. mem_stall +. tlb_stall in
   {
     instructions = t.instr_count;
     mem_instructions = t.mem_instr_count;
     cycles;
-    base_cycles = t.base_cycles;
-    l2_stall_cycles = t.l2_stall;
+    base_cycles;
+    l2_stall_cycles = l2_stall;
     mem_stall_cycles = mem_stall;
-    tlb_stall_cycles = t.tlb_stall;
+    tlb_stall_cycles = tlb_stall;
     runtime_ns = cycles /. t.p.clock_ghz;
     ipc =
       (if cycles > 0. then float_of_int t.instr_count /. cycles else 0.);

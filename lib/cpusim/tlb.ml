@@ -20,19 +20,22 @@ let create ~entries ~page_bytes =
     misses = 0;
   }
 
+(* The entry holding [page], or -1.  Top-level and option-free: a local
+   closure and a [Some] would allocate on every access. *)
+let rec find t page i =
+  if i >= t.entries then -1
+  else if t.pages.(i) = page then i
+  else find t page (i + 1)
+
 let access t addr =
   let page = addr / t.page_bytes in
   t.clock <- t.clock + 1;
-  let rec find i = if i >= t.entries then None
-    else if t.pages.(i) = page then Some i
-    else find (i + 1)
-  in
-  match find 0 with
-  | Some i ->
+  match find t page 0 with
+  | i when i >= 0 ->
     t.hits <- t.hits + 1;
     t.age.(i) <- t.clock;
     true
-  | None ->
+  | _ ->
     t.misses <- t.misses + 1;
     let victim = ref 0 in
     for i = 1 to t.entries - 1 do

@@ -39,17 +39,20 @@ let m_replay_chunks = Nvsc_obs.Metrics.counter "nvt.replay.chunks"
 
 (* --- primitive encoders ------------------------------------------------- *)
 
+(* The varint loops recurse at top level, passing the buffer or decoder
+   along: a local [let rec go] would capture it in a closure allocated on
+   every call, i.e. on every encoded or decoded field. *)
+let rec put_leb128 buf n =
+  if n < 0x80 then Buffer.add_char buf (Char.unsafe_chr n)
+  else begin
+    Buffer.add_char buf (Char.unsafe_chr (0x80 lor (n land 0x7f)));
+    put_leb128 buf (n lsr 7)
+  end
+
 let put_varint buf n =
   (* unsigned LEB128; negative values must go through [zigzag] first *)
-  let rec go n =
-    if n < 0x80 then Buffer.add_char buf (Char.unsafe_chr n)
-    else begin
-      Buffer.add_char buf (Char.unsafe_chr (0x80 lor (n land 0x7f)));
-      go (n lsr 7)
-    end
-  in
   if n < 0 then invalid_arg "Trace_codec: negative varint";
-  go n
+  put_leb128 buf n
 
 let zigzag n = (n lsl 1) lxor (n asr 62)
 let unzigzag z = (z lsr 1) lxor (-(z land 1))
@@ -126,13 +129,12 @@ let get_byte d =
   d.pos <- d.pos + 1;
   b
 
-let get_varint d =
-  let rec go shift acc =
-    let b = get_byte d in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b < 0x80 then acc else go (shift + 7) acc
-  in
-  go 0 0
+let rec get_leb128 d shift acc =
+  let b = get_byte d in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b < 0x80 then acc else get_leb128 d (shift + 7) acc
+
+let get_varint d = get_leb128 d 0 0
 
 (* A count of items that each take at least one more byte, so a claim
    beyond the bytes left is a truncation, never an allocation. *)
@@ -148,11 +150,10 @@ let get_str d =
   s
 
 let get_f64 d =
-  let rec go i acc =
-    if i >= 8 then acc
-    else go (i + 1) Int64.(logor acc (shift_left (of_int (get_byte d)) (8 * i)))
-  in
-  Int64.float_of_bits (go 0 0L)
+  if d.lim - d.pos < 8 then err d.d_path "truncated %s" d.what;
+  let f = Int64.float_of_bits (Bytes.get_int64_le d.s d.pos) in
+  d.pos <- d.pos + 8;
+  f
 
 let get_obj d =
   let id = get_varint d in
